@@ -90,7 +90,8 @@ Status run(const CliArgs& args) {
     std::string servers;
     for (const auto& s : d.servers) {
       if (!servers.empty()) servers += " ";
-      servers += "(" + std::to_string(s.pi) + "," + std::to_string(s.theta) + ")";
+      servers.append("(").append(std::to_string(s.pi)).append(",");
+      servers.append(std::to_string(s.theta)).append(")");
     }
     design.add(std::string(d.spec.name), d.hyperperiod, d.free_slots,
                std::string(d.table_feasible && d.servers_feasible ? "admitted"

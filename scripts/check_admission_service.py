@@ -9,6 +9,9 @@ With no third-party dependencies:
     contract; stats lines are excluded since counters legitimately differ);
   * injects malformed lines mid-session and asserts the daemon answers an
     {"ok": false, "code": ...} diagnostic and keeps serving (exit 0 at EOF);
+  * --metrics-out: a successful session writes a Prometheus text file that
+    parses, and an unwritable target exits non-zero with a coded error and
+    leaves no file behind;
   * optionally validates that BENCH_admission_service.json carries finite
     admissions_per_second / incremental_speedup metrics (threshold gating
     lives in check_bench.py --min-metric=incremental_speedup:5).
@@ -19,8 +22,10 @@ Exit status: 0 all checks pass, 1 any failure, 2 usage errors.
 
 import json
 import math
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 FAILURES = []
@@ -65,21 +70,75 @@ def build_session():
     return lines, expected
 
 
-def run_daemon(daemon, extra_flags, stdin_text):
+def spawn_daemon(daemon, extra_flags, stdin_text):
+    """Runs one session; returns the CompletedProcess or None."""
     argv = [daemon, "--hyperperiod=500", "--busy-every=5"] + extra_flags
     try:
-        proc = subprocess.run(argv, input=stdin_text, capture_output=True,
+        return subprocess.run(argv, input=stdin_text, capture_output=True,
                               text=True, timeout=120)
     except OSError as e:
         fail(f"cannot run {daemon}: {e}")
-        return None
     except subprocess.TimeoutExpired:
         fail(f"{daemon} did not reach EOF within 120 s")
+    return None
+
+
+def run_daemon(daemon, extra_flags, stdin_text):
+    proc = spawn_daemon(daemon, extra_flags, stdin_text)
+    if proc is None:
         return None
     if proc.returncode != 0:
         fail(f"{daemon} exited {proc.returncode}: {proc.stderr.strip()}")
         return None
     return proc.stdout.splitlines()
+
+
+SAMPLE_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (\S+)$")
+
+
+def check_metrics_out(daemon):
+    """--metrics-out writes parseable Prometheus text, or fails cleanly."""
+    lines, _ = build_session()
+    stdin_text = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "metrics.prom"
+        if run_daemon(daemon, [f"--metrics-out={target}"], stdin_text) is None:
+            return
+        if not target.is_file():
+            fail(f"--metrics-out: {target} was not written")
+            return
+        samples = 0
+        for line in target.read_text().splitlines():
+            if not line or line.startswith("#"):
+                continue
+            m = SAMPLE_RE.match(line)
+            try:
+                ok = m is not None and math.isfinite(float(m.group(2)))
+            except ValueError:
+                ok = False
+            if not ok:
+                fail(f"--metrics-out: not a Prometheus sample: {line!r}")
+                return
+            samples += 1
+        if samples == 0:
+            fail("--metrics-out: file carries no samples")
+
+    # A directory in the target's place makes the final rename fail after
+    # the staging file was written: the daemon must report it and clean up.
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "metrics.prom"
+        target.mkdir()
+        proc = spawn_daemon(daemon, [f"--metrics-out={target}"], stdin_text)
+        if proc is None:
+            return
+        if proc.returncode == 0:
+            fail("--metrics-out to an unwritable path exited 0")
+        if not re.search(r"\b[A-Z_]+: ", proc.stderr):
+            fail("--metrics-out to an unwritable path gave no coded error: "
+                 f"{proc.stderr.strip()!r}")
+        left = sorted(p.name for p in Path(tmp).rglob("*"))
+        if left != ["metrics.prom"]:
+            fail(f"--metrics-out failure left files behind: {left}")
 
 
 def check_daemon(daemon):
@@ -161,6 +220,7 @@ def main(argv):
         return 2
 
     check_daemon(daemon)
+    check_metrics_out(daemon)
     if bench is not None:
         check_bench_report(bench)
 

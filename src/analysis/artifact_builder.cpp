@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "analysis/verify_service.hpp"
+#include "common/check.hpp"
 #include "sched/server_design.hpp"
 
 namespace ioguard::analysis {
@@ -15,6 +16,17 @@ std::vector<DeviceArtifacts> ExperimentArtifacts::device_views() const {
     views.push_back(DeviceArtifacts{&tables[d], &predefined[d], &servers[d],
                                     &vm_tasks[d]});
   return views;
+}
+
+std::size_t ExperimentArtifacts::busiest_device() const {
+  IOGUARD_CHECK(!tables.empty());
+  const auto used = [this](std::size_t d) {
+    return tables[d].hyperperiod() - tables[d].free_slots();
+  };
+  std::size_t busiest = 0;
+  for (std::size_t d = 1; d < tables.size(); ++d)
+    if (used(d) > used(busiest)) busiest = d;
+  return busiest;
 }
 
 ExperimentArtifacts build_experiment_artifacts(

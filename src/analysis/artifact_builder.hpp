@@ -26,6 +26,10 @@ struct ExperimentArtifacts {
 
   /// Borrowing views for verify_system().
   [[nodiscard]] std::vector<DeviceArtifacts> device_views() const;
+
+  /// Index of the device whose table reserves the most slots (the first on
+  /// ties); the table the admission daemon serves. Requires a table.
+  [[nodiscard]] std::size_t busiest_device() const;
 };
 
 /// Derives every device's artifacts for `cfg`. `trials`/`min_jobs` only fill

@@ -163,10 +163,9 @@ void Mesh::set_delivery_handler(NodeId node, Nic::DeliveryHandler handler) {
       });
 }
 
-sim::Activity Mesh::tick(Cycle now) {
+void Mesh::tick(Cycle now) {
   for (auto& r : routers_) r->tick(now);
   for (auto& nic : nics_) nic->tick(now);
-  return activity();
 }
 
 Cycle Mesh::zero_load_latency(NodeId src, NodeId dst,

@@ -12,7 +12,6 @@
 
 #include "common/stats.hpp"
 #include "noc/router.hpp"
-#include "sim/engine.hpp"
 
 namespace ioguard::noc {
 
@@ -72,7 +71,7 @@ class Nic {
 };
 
 /// The full mesh: routers, inter-router links and NICs, ticked as one unit.
-class Mesh : public sim::Tickable {
+class Mesh {
  public:
   explicit Mesh(const MeshConfig& config);
 
@@ -90,11 +89,8 @@ class Mesh : public sim::Tickable {
   /// Delivery callback for packets arriving at `node`.
   void set_delivery_handler(NodeId node, Nic::DeliveryHandler handler);
 
-  sim::Activity tick(Cycle now) override;
-  [[nodiscard]] std::string name() const override { return "mesh"; }
-  [[nodiscard]] sim::Activity activity() const override {
-    return idle() ? sim::Activity::kQuiescent : sim::Activity::kBusy;
-  }
+  /// Advances every router and NIC by one clock cycle ending at `now`.
+  void tick(Cycle now);
 
   /// Minimal (uncontended) packet latency in cycles from src to dst:
   /// hops * (router + link) + serialization.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/check.hpp"
+#include <numeric>
+#include <utility>
 
 namespace ioguard::sched {
 
@@ -50,7 +50,74 @@ std::vector<Slot> sporadic_steps(const workload::TaskSet& tasks, Slot bound) {
   return steps;
 }
 
+/// ceil(numerator / c) + 1 for the slack c = supply - sum(demand), where the
+/// supply and every demand term are ratios num/den of slot counts. The double
+/// slack sizes the bound as the theorems state it; whether c > 0 is decided
+/// exactly over L = lcm of all denominators when L <= 2^26 (an exactly zero
+/// slack can round to a tiny positive double, which would ask for a check
+/// range of ~1e19 slots), and from the double otherwise.
+template <class Demand, class Ratio>
+std::optional<Slot> slack_bound(Slot supply_num, Slot supply_den,
+                                const Demand& demand, Ratio ratio,
+                                double numerator) {
+  constexpr Slot kLcmCap = Slot{1} << 26;
+  double used = 0.0;
+  Slot l = supply_den <= kLcmCap ? supply_den : 0;  // 0: lcm exceeds the cap
+  for (const auto& d : demand) {
+    const auto [num, den] = ratio(d);
+    used += static_cast<double>(num) / static_cast<double>(den);
+    if (l == 0) continue;
+    const Slot q = l / std::gcd(l, den);
+    l = q <= kLcmCap / den ? q * den : 0;
+  }
+  const double c =
+      static_cast<double>(supply_num) / static_cast<double>(supply_den) - used;
+  if (l != 0) {
+    using Wide = unsigned __int128;
+    const Wide have = Wide{supply_num} * (l / supply_den);
+    Wide need = 0;
+    for (const auto& d : demand) {
+      const auto [num, den] = ratio(d);
+      need += Wide{num} * (l / den);
+    }
+    if (need >= have) return std::nullopt;
+  } else if (c <= 0.0) {
+    return std::nullopt;
+  }
+  const double bound = std::ceil(numerator / c);
+  if (!(bound >= 0.0 && bound < 0x1p63)) return std::nullopt;
+  return static_cast<Slot>(bound) + 1;
+}
+
 }  // namespace
+
+std::optional<Slot> slack_check_bound(const TableSupply& supply,
+                                      const std::vector<ServerParams>& servers) {
+  const double h = static_cast<double>(supply.hyperperiod());
+  const double f = static_cast<double>(supply.free_per_period());
+  return slack_bound(
+      supply.free_per_period(), supply.hyperperiod(), servers,
+      [](const ServerParams& g) { return std::pair{g.theta, g.pi}; },
+      f * ((h - 1.0) / h));
+}
+
+std::optional<Slot> slack_check_bound(const ServerParams& server,
+                                      const workload::TaskSet& vm_tasks,
+                                      Slot carry_over) {
+  Slot max_laxity = 0;  // max(T_k - D_k)
+  for (const auto& tau : vm_tasks.tasks())
+    max_laxity = std::max(max_laxity, tau.period - tau.deadline);
+  const double num = static_cast<double>(max_laxity) +
+                     2.0 * static_cast<double>(server.pi) -
+                     static_cast<double>(server.theta) - 1.0 +
+                     static_cast<double>(carry_over);
+  return slack_bound(
+      server.theta, server.pi, vm_tasks.tasks(),
+      [](const workload::IoTaskSpec& tau) {
+        return std::pair{tau.wcet, tau.period};
+      },
+      num);
+}
 
 AdmissionResult theorem1_exhaustive(const TableSupply& supply,
                                     const std::vector<ServerParams>& servers,
@@ -84,16 +151,10 @@ AdmissionResult theorem2_check(const TableSupply& supply,
     r.schedulable = true;
     return r;
   }
-  double bw = 0.0;
-  for (const auto& g : servers) bw += g.bandwidth();
-  const double c = supply.bandwidth() - bw;
-  if (c <= 0.0) return r;  // Theorem 2's stated limitation: requires c > 0
-
-  const double h = static_cast<double>(supply.hyperperiod());
-  const double f = static_cast<double>(supply.free_per_period());
-  // t* < F * ((H-1)/H) / c
-  const auto bound = static_cast<Slot>(std::ceil(f * ((h - 1.0) / h) / c)) + 1;
-  return theorem1_exhaustive(supply, servers, bound);
+  // t* < F * ((H-1)/H) / c; Theorem 2's stated limitation requires c > 0.
+  const auto bound = slack_check_bound(supply, servers);
+  if (!bound) return r;
+  return theorem1_exhaustive(supply, servers, *bound);
 }
 
 AdmissionResult theorem3_exhaustive(const ServerParams& server,
@@ -123,41 +184,10 @@ AdmissionResult theorem4_check(const ServerParams& server,
     r.schedulable = true;
     return r;
   }
-  const double cprime = server.bandwidth() - vm_tasks.utilization();
-  if (cprime <= 0.0) return r;  // Theorem 4 requires c' > 0
-
-  Slot max_laxity = 0;  // max(T_k - D_k)
-  for (const auto& tau : vm_tasks.tasks())
-    max_laxity = std::max(max_laxity, tau.period - tau.deadline);
-  // t* < (max(T-D) + 2*Pi - Theta - 1) / c'
-  const double num = static_cast<double>(max_laxity) +
-                     2.0 * static_cast<double>(server.pi) -
-                     static_cast<double>(server.theta) - 1.0;
-  const auto bound = static_cast<Slot>(std::ceil(num / cprime)) + 1;
-  return theorem3_exhaustive(server, vm_tasks, bound);
-}
-
-SystemAdmission admit_system(const TableSupply& supply,
-                             const std::vector<ServerParams>& servers,
-                             const std::vector<workload::TaskSet>& vm_tasks) {
-  IOGUARD_CHECK(servers.size() == vm_tasks.size());
-  SystemAdmission out;
-  out.global = theorem2_check(supply, servers);
-  if (!out.global) {
-    out.reason = "global layer (Theorem 2) rejected";
-    return out;
-  }
-  out.per_vm.reserve(servers.size());
-  bool all_ok = true;
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    out.per_vm.push_back(theorem4_check(servers[i], vm_tasks[i]));
-    if (!out.per_vm.back()) {
-      all_ok = false;
-      out.reason = "VM " + std::to_string(i) + " (Theorem 4) rejected";
-    }
-  }
-  out.schedulable = all_ok;
-  return out;
+  // t* < (max(T-D) + 2*Pi - Theta - 1) / c'; Theorem 4 requires c' > 0.
+  const auto bound = slack_check_bound(server, vm_tasks);
+  if (!bound) return r;
+  return theorem3_exhaustive(server, vm_tasks, *bound);
 }
 
 }  // namespace ioguard::sched

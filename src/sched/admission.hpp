@@ -4,7 +4,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "sched/sbf.hpp"
@@ -46,25 +45,20 @@ AdmissionResult theorem3_exhaustive(const ServerParams& server,
 AdmissionResult theorem4_check(const ServerParams& server,
                                const workload::TaskSet& vm_tasks);
 
-// DEPRECATED(ISSUE-9): SystemAdmission / admit_system are the legacy batch
-// entry points, superseded by the request--response admission service
-// (service/admission_engine.hpp: AdmissionEngine::handle answers the same
-// two-layer question incrementally, with memoized verdicts and a canonical
-// decision encoding). They are kept for exactly one PR as a migration shim
-// for out-of-tree callers; no in-tree caller remains (CI greps for uses
-// outside this header/impl pair).
+/// Exclusive check bound of Theorem 2: ceil(F * ((H-1)/H) / c) + 1 with the
+/// G-level slack c = F/H - sum(Theta_i/Pi_i). Empty when c <= 0 or when the
+/// bound does not fit in a Slot. The sign of c is decided in exact integer
+/// arithmetic over the lcm of the denominators whenever that lcm is at most
+/// 2^26, so a rounding residue of a zero slack never yields a bound.
+std::optional<Slot> slack_check_bound(const TableSupply& supply,
+                                      const std::vector<ServerParams>& servers);
 
-/// DEPRECATED(ISSUE-9): use service::AdmissionDecision instead.
-struct SystemAdmission {
-  bool schedulable = false;
-  AdmissionResult global;
-  std::vector<AdmissionResult> per_vm;
-  std::string reason;
-};
-
-/// DEPRECATED(ISSUE-9): use service::AdmissionEngine::handle instead.
-SystemAdmission admit_system(const TableSupply& supply,
-                             const std::vector<ServerParams>& servers,
-                             const std::vector<workload::TaskSet>& vm_tasks);
+/// Exclusive check bound of Theorem 4: ceil((max(T-D) + 2*Pi - Theta - 1 +
+/// carry_over) / c') + 1 with the L-level slack c' = Theta/Pi - sum(C/T);
+/// `carry_over` widens the window of the mixed-criticality transition check.
+/// Empty under the same conditions as the G-level overload.
+std::optional<Slot> slack_check_bound(const ServerParams& server,
+                                      const workload::TaskSet& vm_tasks,
+                                      Slot carry_over = 0);
 
 }  // namespace ioguard::sched

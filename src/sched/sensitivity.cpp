@@ -50,19 +50,12 @@ StatusOr<SlotDelta> min_slack(const ServerParams& server,
   if (vm_tasks.empty())
     return FailedPreconditionError("empty task set has no slack to measure");
 
-  // Check window mirrors theorem4_check.
-  const double cprime = server.bandwidth() - vm_tasks.utilization();
+  // Check window mirrors theorem4_check; when over-utilized, inspect a few
+  // hyper-periods to find the violation.
   Slot bound;
-  if (cprime > 0.0) {
-    Slot max_laxity = 0;
-    for (const auto& tau : vm_tasks.tasks())
-      max_laxity = std::max(max_laxity, tau.period - tau.deadline);
-    const double num = static_cast<double>(max_laxity) +
-                       2.0 * static_cast<double>(server.pi) -
-                       static_cast<double>(server.theta) - 1.0;
-    bound = static_cast<Slot>(std::ceil(num / cprime)) + 1;
+  if (const auto b = slack_check_bound(server, vm_tasks)) {
+    bound = *b;
   } else {
-    // Over-utilized: inspect a few hyper-periods to find the violation.
     bound = 4 * vm_tasks.hyperperiod(Slot{1} << 22) + 1;
   }
   // Always sample at least every task's first deadline.
@@ -105,14 +98,11 @@ StatusOr<SlotDelta> global_min_slack(const TableSupply& supply,
   if (servers.empty())
     return FailedPreconditionError("no servers: global slack is undefined");
 
-  double bw = 0.0;
-  for (const auto& g : servers) bw += g.bandwidth();
-  const double c = supply.bandwidth() - bw;
+  // Check window mirrors theorem2_check; when over-utilized, one lcm of the
+  // table and server periods.
   Slot bound;
-  if (c > 0.0) {
-    const double h = static_cast<double>(supply.hyperperiod());
-    const double f = static_cast<double>(supply.free_per_period());
-    bound = static_cast<Slot>(std::ceil(f * ((h - 1.0) / h) / c)) + 1;
+  if (const auto b = slack_check_bound(supply, servers)) {
+    bound = *b;
   } else {
     Slot l = supply.hyperperiod();
     for (const auto& g : servers)

@@ -9,11 +9,13 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/artifact_builder.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "sched/slot_table.hpp"
 #include "service/admission_engine.hpp"
 #include "service/admission_json.hpp"
+#include "system/runner.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
 #include "workload/generator.hpp"
@@ -375,6 +377,42 @@ TEST(AdmissionJson, StatsLineCarriesEngineCounters) {
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->find("requests")->number, 1.0);
   EXPECT_EQ(stats->find("fleet_vms")->number, 1.0);
+}
+
+/// The daemon's --case-study table at --vms=8 --util=0.6 --preload=0.7
+/// --seed=1 once aborted on this well-formed request: its utilization is
+/// exactly the Theta/Pi the server synthesis probes (1/25), and the double
+/// slack residue sized an unallocatable Theorem-4 check range.
+TEST(AdmissionJson, CaseStudyZeroSlackRequestGetsADecision) {
+  sys::TrialConfig raw;
+  raw.workload.num_vms = 8;
+  raw.workload.target_utilization = 0.6;
+  raw.workload.preload_fraction = 0.7;
+  raw.workload.seed = 1;
+  const auto cfg = sys::TrialConfig::validated(raw);
+  ASSERT_TRUE(cfg.ok()) << cfg.status();
+  const auto artifacts = analysis::build_experiment_artifacts(cfg->workload);
+  ASSERT_FALSE(artifacts.tables.empty());
+  AdmissionEngine engine(artifacts.tables[artifacts.busiest_device()],
+                         AdmissionEngineConfig{});
+
+  const auto wire = decode_request(
+      R"({"op":"admit","tenant":"t2","vm":"vm3","tasks":[)"
+      R"({"id":0,"period":100,"wcet":1,"deadline":95},)"
+      R"({"id":1,"period":100,"wcet":1,"deadline":98},)"
+      R"({"id":2,"period":100,"wcet":1,"deadline":100},)"
+      R"({"id":3,"period":200,"wcet":1,"deadline":183},)"
+      R"({"id":4,"period":200,"wcet":1,"deadline":190}]})");
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  const auto decision = engine.handle(wire->request);
+  ASSERT_TRUE(decision.ok()) << decision.status();
+
+  const std::string line = encode_decision(*decision);
+  const auto parsed = parse_json(line);
+  ASSERT_TRUE(parsed.ok()) << line;
+  EXPECT_TRUE(parsed->find("ok")->boolean);
+  EXPECT_EQ(parsed->find("op")->str, "admit");
+  ASSERT_NE(parsed->find("admitted"), nullptr);
 }
 
 // ----------------------------------------------------------- determinism

@@ -19,6 +19,7 @@
 #include "sched/admission.hpp"
 #include "sched/sbf.hpp"
 #include "sched/slot_table.hpp"
+#include "task_builders.hpp"
 #include "workload/generator.hpp"
 
 namespace ioguard::analysis {
@@ -28,39 +29,15 @@ using sched::ServerParams;
 using sched::TableSupply;
 using sched::TimeSlotTable;
 using workload::IoTaskSpec;
-using workload::TaskKind;
+using tests::predefined_task;
+using tests::runtime_task;
 using workload::TaskSet;
-
-IoTaskSpec predef(std::uint32_t id, Slot t, Slot c, Slot d, Slot offset = 0) {
-  IoTaskSpec s;
-  s.id = TaskId{id};
-  s.vm = VmId{0};
-  s.device = DeviceId{0};
-  s.name = "p" + std::to_string(id);
-  s.kind = TaskKind::kPredefined;
-  s.period = t;
-  s.wcet = c;
-  s.deadline = d;
-  s.offset = offset;
-  s.payload_bytes = 16;
-  return s;
-}
-
-IoTaskSpec vm_task(std::uint32_t id, Slot t, Slot c, Slot d,
-                   std::uint32_t vm = 0, std::uint32_t dev = 0) {
-  IoTaskSpec s = predef(id, t, c, d);
-  s.kind = TaskKind::kRuntime;
-  s.vm = VmId{vm};
-  s.device = DeviceId{dev};
-  s.name = "r" + std::to_string(id);
-  return s;
-}
 
 /// Two pre-defined tasks with H = 20, demand 8, F = 12.
 TaskSet small_predefined() {
   TaskSet set;
-  set.add(predef(1, 10, 2, 10));
-  set.add(predef(2, 20, 4, 20));
+  set.add(predefined_task(1, 10, 2, 10));
+  set.add(predefined_task(2, 20, 4, 20));
   return set;
 }
 
@@ -131,7 +108,7 @@ TEST(VerifyTable, Sig004FiresOnSurplusSlot) {
 TEST(VerifyTable, Sig005FiresOnSlotOutsideJobWindow) {
   // One task (T=10, C=1, D=2): its only slot must sit in [0, 2).
   TaskSet set;
-  set.add(predef(1, 10, 1, 2));
+  set.add(predefined_task(1, 10, 1, 2));
   auto build = sched::build_time_slot_table(set);
   ASSERT_TRUE(build.feasible);
   auto raw = build.table.raw();
@@ -155,13 +132,13 @@ TEST(VerifyTable, Sig007FiresOnBadPredefinedParameters) {
   // TaskSet::add rejects broken specs up front; the vector constructor is
   // the unvalidated ingestion path (deserialized artifacts), which is what
   // the verifier exists to cover.
-  const TaskSet zero_wcet(std::vector<IoTaskSpec>{predef(1, 10, 0, 10)});
+  const TaskSet zero_wcet(std::vector<IoTaskSpec>{predefined_task(1, 10, 0, 10)});
   Report report;
   verify_slot_table(TimeSlotTable(10), zero_wcet, report);
   EXPECT_TRUE(report.has(DiagCode::kSigBadPredefinedTask));
 
   TaskSet offset_past_period;
-  offset_past_period.add(predef(2, 10, 1, 10, /*offset=*/10));
+  offset_past_period.add(predefined_task(2, 10, 1, 10, /*offset=*/10));
   Report report2;
   verify_slot_table(TimeSlotTable(10), offset_past_period, report2);
   EXPECT_TRUE(report2.has(DiagCode::kSigBadPredefinedTask));
@@ -251,7 +228,7 @@ TEST(VerifySupply, Sup007ReportsSkippedAgreementAtInfoSeverity) {
 
 TaskSet one_vm_tasks() {
   TaskSet set;
-  set.add(vm_task(10, 10, 1, 10));
+  set.add(runtime_task(10, 10, 1, 10));
   return set;
 }
 
@@ -272,7 +249,7 @@ TEST(VerifyServers, Lvl001FiresOnBudgetPastPeriod) {
 }
 
 TEST(VerifyServers, Lvl002FiresOnDeadlinePastPeriod) {
-  const TaskSet set(std::vector<IoTaskSpec>{vm_task(10, 10, 1, 20)});
+  const TaskSet set(std::vector<IoTaskSpec>{runtime_task(10, 10, 1, 20)});
   Report report;
   verify_servers({{10, 5}}, {set}, {}, report);
   EXPECT_TRUE(report.has(DiagCode::kLvlDeadlineExceedsPeriod));
@@ -280,7 +257,7 @@ TEST(VerifyServers, Lvl002FiresOnDeadlinePastPeriod) {
 
 TEST(VerifyServers, Lvl003FiresOnBandwidthDeficit) {
   TaskSet set;
-  set.add(vm_task(10, 10, 5, 10));  // utilization 0.5
+  set.add(runtime_task(10, 10, 5, 10));  // utilization 0.5
   Report report;
   verify_servers({{1000, 1}}, {set}, {}, report);  // bandwidth 0.001
   EXPECT_TRUE(report.has(DiagCode::kLvlBandwidthDeficit));
@@ -308,7 +285,7 @@ TEST(VerifyServers, Lvl005FiresOnServerCountMismatch) {
 }
 
 TEST(VerifyServers, Lvl006FiresOnZeroTaskParameters) {
-  const TaskSet set(std::vector<IoTaskSpec>{vm_task(10, 10, 0, 10)});
+  const TaskSet set(std::vector<IoTaskSpec>{runtime_task(10, 10, 0, 10)});
   Report report;
   verify_servers({{10, 5}}, {set}, {}, report);
   EXPECT_TRUE(report.has(DiagCode::kLvlBadTaskParams));
@@ -337,7 +314,7 @@ ExperimentSpec valid_experiment() {
 
 TaskSet one_config_task() {
   TaskSet set;
-  set.add(vm_task(1, 10, 1, 10, /*vm=*/0, /*dev=*/0));
+  set.add(runtime_task(1, 10, 1, 10, /*vm=*/0, /*dev=*/0));
   return set;
 }
 
@@ -371,7 +348,7 @@ TEST(VerifyConfig, Cfg002FiresOnVmPlacementOverflow) {
 
 TEST(VerifyConfig, Cfg003FiresOnUnknownDeviceReference) {
   TaskSet set;
-  set.add(vm_task(1, 10, 1, 10, /*vm=*/0, /*dev=*/17));
+  set.add(runtime_task(1, 10, 1, 10, /*vm=*/0, /*dev=*/17));
   Report report;
   verify_config({}, valid_experiment(), set, report);
   EXPECT_TRUE(report.has(DiagCode::kCfgUnknownDevice));
@@ -379,7 +356,7 @@ TEST(VerifyConfig, Cfg003FiresOnUnknownDeviceReference) {
 
 TEST(VerifyConfig, Cfg004FiresOnVmOutOfRange) {
   TaskSet set;
-  set.add(vm_task(1, 10, 1, 10, /*vm=*/9, /*dev=*/0));
+  set.add(runtime_task(1, 10, 1, 10, /*vm=*/9, /*dev=*/0));
   Report report;
   verify_config({}, valid_experiment(), set, report);  // num_vms = 4
   EXPECT_TRUE(report.has(DiagCode::kCfgVmOutOfRange));

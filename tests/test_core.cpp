@@ -13,6 +13,7 @@
 #include "core/priority_queue.hpp"
 #include "core/translator.hpp"
 #include "core/vmanager.hpp"
+#include "task_builders.hpp"
 
 namespace ioguard::core {
 namespace {
@@ -219,25 +220,9 @@ TEST(GSched, IdleWhenNoShadowValid) {
 
 // ------------------------------------------------------------------ P-channel
 
-workload::IoTaskSpec predefined(std::uint32_t id, Slot t, Slot c,
-                                Slot offset = 0) {
-  workload::IoTaskSpec s;
-  s.id = TaskId{id};
-  s.vm = VmId{0};
-  s.device = DeviceId{0};
-  s.name = "p" + std::to_string(id);
-  s.kind = workload::TaskKind::kPredefined;
-  s.period = t;
-  s.wcet = c;
-  s.deadline = t;
-  s.offset = offset;
-  s.payload_bytes = 16;
-  return s;
-}
-
 TEST(PChannel, ExecutesTableReservedSlotsAndCompletesJobs) {
   workload::TaskSet ts;
-  ts.add(predefined(0, 10, 3));
+  ts.add(tests::predefined_task(0, 10, 3, 10));
   auto build = sched::build_time_slot_table(ts);
   ASSERT_TRUE(build.feasible);
   PChannel pch(ts, build.table);
@@ -255,7 +240,7 @@ TEST(PChannel, ExecutesTableReservedSlotsAndCompletesJobs) {
 
 TEST(PChannel, FreeSlotsReportedFree) {
   workload::TaskSet ts;
-  ts.add(predefined(0, 10, 2));
+  ts.add(tests::predefined_task(0, 10, 2, 10));
   auto build = sched::build_time_slot_table(ts);
   ASSERT_TRUE(build.feasible);
   PChannel pch(ts, build.table);
@@ -334,7 +319,8 @@ TEST(VirtManager, PreemptionBetweenVms) {
 
 TEST(VirtManager, PChannelHasPriorityOverRChannel) {
   workload::TaskSet predef;
-  predef.add(predefined(7, 4, 2));  // slots 0,1 of every 4 reserved
+  // Slots 0,1 of every 4 reserved.
+  predef.add(tests::predefined_task(7, 4, 2, 4));
   auto build = sched::build_time_slot_table(predef);
   ASSERT_TRUE(build.feasible);
   std::vector<sched::ServerParams> servers(1, {4, 2});

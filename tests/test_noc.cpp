@@ -7,7 +7,6 @@
 #include "noc/mesh.hpp"
 #include "noc/packet.hpp"
 #include "noc/router.hpp"
-#include "sim/engine.hpp"
 
 namespace ioguard::noc {
 namespace {
@@ -214,25 +213,6 @@ TEST_F(MeshFixture, ContentionIncreasesLatency) {
   EXPECT_GT(busy_mesh.latencies().max(), idle_lat * 3);
 }
 
-TEST_F(MeshFixture, EngineIntegration) {
-  Mesh mesh(cfg_);
-  sim::Engine engine;
-  engine.add(&mesh);
-  int delivered = 0;
-  mesh.set_delivery_handler(mesh.node_at(1, 1),
-                            [&](const Packet&, Cycle) { ++delivered; });
-  engine.at(5, [&](Cycle now) {
-    Packet p;
-    p.src = mesh.node_at(0, 0);
-    p.dst = mesh.node_at(1, 1);
-    p.payload_bytes = 16;
-    mesh.send(p, now);
-  });
-  engine.run_until(100);
-  EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(engine.now(), 101u);
-}
-
 TEST(MeshConfigTest, NonSquareMeshWorks) {
   MeshConfig cfg;
   cfg.width = 3;
@@ -248,6 +228,82 @@ TEST(MeshConfigTest, NonSquareMeshWorks) {
   mesh.send(p, 0);
   for (Cycle c = 0; c < 100; ++c) mesh.tick(c);
   EXPECT_EQ(got, 1);
+}
+
+// ------------------------------------------------- NoC priority arbitration
+
+TEST(NocPriority, UrgentTrafficProtectedUnderContention) {
+  // Two flows fight for the same output port. Under round-robin they share;
+  // under priority arbitration the urgent flow's latency stays near
+  // zero-load while bulk traffic absorbs the queueing.
+  auto run = [](noc::Arbitration arb) {
+    noc::MeshConfig cfg;
+    cfg.arbitration = arb;
+    noc::Mesh mesh(cfg);
+    SampleSet urgent_lat;
+    mesh.set_delivery_handler(mesh.node_at(4, 2),
+                              [&](const noc::Packet& p, Cycle) {
+                                if (p.priority == 0)
+                                  urgent_lat.add(
+                                      static_cast<double>(p.latency()));
+                              });
+    Cycle now = 0;
+    for (int burst = 0; burst < 40; ++burst) {
+      // Bulk streams converge on (4,2)'s ejection port from north and
+      // south; the urgent packet arrives from the west. Three inputs
+      // compete for one output, so round-robin rotates through both bulk
+      // wormholes before the urgent one.
+      for (int i = 0; i < 3; ++i) {
+        for (int y : {0, 4}) {
+          noc::Packet bulk;  // large, low-priority
+          bulk.src = mesh.node_at(4, y);
+          bulk.dst = mesh.node_at(4, 2);
+          bulk.priority = 7;
+          bulk.payload_bytes = 512;
+          mesh.send(bulk, now);
+        }
+      }
+      noc::Packet urgent;  // small, high-priority
+      urgent.src = mesh.node_at(0, 2);
+      urgent.dst = mesh.node_at(4, 2);
+      urgent.priority = 0;
+      urgent.payload_bytes = 16;
+      mesh.send(urgent, now);
+      for (int c = 0; c < 500; ++c) mesh.tick(now++);
+    }
+    for (int c = 0; c < 20000 && !mesh.idle(); ++c) mesh.tick(now++);
+    return urgent_lat;
+  };
+
+  auto rr = run(noc::Arbitration::kRoundRobin);
+  auto prio = run(noc::Arbitration::kPriority);
+  ASSERT_EQ(rr.count(), 40u);
+  ASSERT_EQ(prio.count(), 40u);
+  EXPECT_LT(prio.percentile(99), rr.percentile(99));
+  EXPECT_LT(prio.max(), rr.max());
+}
+
+TEST(NocPriority, StillDeliversAllTraffic) {
+  noc::MeshConfig cfg;
+  cfg.arbitration = noc::Arbitration::kPriority;
+  noc::Mesh mesh(cfg);
+  int delivered = 0;
+  for (std::uint32_t n = 0; n < mesh.node_count(); ++n)
+    mesh.set_delivery_handler(NodeId{n},
+                              [&](const noc::Packet&, Cycle) { ++delivered; });
+  Cycle now = 0;
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    noc::Packet p;
+    p.src = NodeId{i % static_cast<std::uint32_t>(mesh.node_count())};
+    p.dst = NodeId{(i * 7 + 3) % static_cast<std::uint32_t>(mesh.node_count())};
+    if (p.src == p.dst) continue;
+    p.priority = static_cast<std::uint8_t>(i % 8);
+    p.payload_bytes = 64;
+    mesh.send(p, now);
+  }
+  for (int c = 0; c < 30000 && !mesh.idle(); ++c) mesh.tick(now++);
+  EXPECT_TRUE(mesh.idle());
+  EXPECT_GT(delivered, 40);
 }
 
 }  // namespace

@@ -11,37 +11,15 @@
 #include "sched/sbf.hpp"
 #include "sched/server_design.hpp"
 #include "sched/slot_table.hpp"
+#include "task_builders.hpp"
 #include "workload/arrivals.hpp"
 
 namespace ioguard::sched {
 namespace {
 
-using workload::IoTaskSpec;
-using workload::TaskKind;
+using tests::predefined_task;
+using tests::runtime_task;
 using workload::TaskSet;
-
-IoTaskSpec predefined_task(std::uint32_t id, Slot t, Slot c, Slot d,
-                           Slot offset = 0) {
-  IoTaskSpec s;
-  s.id = TaskId{id};
-  s.vm = VmId{0};
-  s.device = DeviceId{0};
-  s.name = "p" + std::to_string(id);
-  s.kind = TaskKind::kPredefined;
-  s.period = t;
-  s.wcet = c;
-  s.deadline = d;
-  s.offset = offset;
-  s.payload_bytes = 16;
-  return s;
-}
-
-IoTaskSpec runtime_task(std::uint32_t id, Slot t, Slot c, Slot d) {
-  IoTaskSpec s = predefined_task(id, t, c, d);
-  s.kind = TaskKind::kRuntime;
-  s.name = "r" + std::to_string(id);
-  return s;
-}
 
 // ---------------------------------------------------------------- slot table
 
@@ -246,6 +224,25 @@ TEST(Theorem4, MatchesTheorem3OnConstrainedDeadlines) {
 
 TEST(Theorem4, EmptyTaskSetTriviallySchedulable) {
   EXPECT_TRUE(theorem4_check({10, 1}, TaskSet{}));
+}
+
+TEST(Theorem4, ExactlyZeroSlackRejectsWithoutACheckRange) {
+  // U = 3/100 + 2/200 = 1/25 = Theta/Pi exactly, but the double sum is
+  // 0.039999999999999994: the rounding residue c' ~ 7e-18 once sized a
+  // ~8e18-slot step-point range and the allocation aborted the process.
+  TaskSet ts;
+  ts.add(runtime_task(0, 100, 1, 95));
+  ts.add(runtime_task(1, 100, 1, 98));
+  ts.add(runtime_task(2, 100, 1, 100));
+  ts.add(runtime_task(3, 200, 1, 183));
+  ts.add(runtime_task(4, 200, 1, 190));
+  const ServerParams g{25, 1};
+  EXPECT_GT(g.bandwidth() - ts.utilization(), 0.0);  // the residue is real
+
+  const AdmissionResult r = theorem4_check(g, ts);
+  EXPECT_FALSE(r.schedulable);
+  EXPECT_EQ(r.checked_until, 0u);
+  EXPECT_FALSE(slack_check_bound(g, ts).has_value());
 }
 
 // --------------------------------------------------------------- server design

@@ -17,6 +17,7 @@
 #include "sched/sbf.hpp"
 #include "sched/server_design.hpp"
 #include "sched/slot_table.hpp"
+#include "task_builders.hpp"
 #include "workload/arrivals.hpp"
 
 namespace ioguard::sched {
@@ -192,7 +193,7 @@ TEST_P(VmAdmissionProperty, AdmittedTaskSetsNeverMissOnWorstCaseSupply) {
     s.id = TaskId{static_cast<std::uint32_t>(i)};
     s.vm = VmId{0};
     s.device = DeviceId{0};
-    s.name = "x" + std::to_string(i);
+    s.name = tests::numbered("x", i);
     s.period = 20 + rng.uniform_int(0, 180);
     s.deadline = s.period - rng.uniform_int(0, s.period / 4);
     s.wcet = 1 + rng.uniform_int(0, std::max<Slot>(1, s.deadline / 8) - 1);

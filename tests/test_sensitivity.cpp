@@ -5,26 +5,16 @@
 #include "common/rng.hpp"
 #include "sched/sensitivity.hpp"
 #include "sched/server_design.hpp"
+#include "task_builders.hpp"
 
 namespace ioguard::sched {
 namespace {
 
-workload::IoTaskSpec task(std::uint32_t id, Slot t, Slot c, Slot d) {
-  workload::IoTaskSpec s;
-  s.id = TaskId{id};
-  s.vm = VmId{0};
-  s.device = DeviceId{0};
-  s.name = "t" + std::to_string(id);
-  s.period = t;
-  s.wcet = c;
-  s.deadline = d;
-  s.payload_bytes = 8;
-  return s;
-}
+using tests::runtime_task;
 
 TEST(Breakdown, UnschedulableIsFailedPrecondition) {
   workload::TaskSet ts;
-  ts.add(task(0, 10, 9, 10));
+  ts.add(runtime_task(0, 10, 9, 10));
   const auto alpha = breakdown_factor({10, 5}, ts);
   ASSERT_FALSE(alpha.ok());
   EXPECT_EQ(alpha.status().code(), StatusCode::kFailedPrecondition);
@@ -32,7 +22,7 @@ TEST(Breakdown, UnschedulableIsFailedPrecondition) {
 
 TEST(Breakdown, BadParametersAreInvalidArgument) {
   workload::TaskSet ts;
-  ts.add(task(0, 1000, 10, 1000));
+  ts.add(runtime_task(0, 1000, 10, 1000));
   EXPECT_EQ(breakdown_factor({10, 8}, ts, 0.5).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(breakdown_factor({10, 8}, ts, 8.0, 0.0).status().code(),
@@ -41,7 +31,7 @@ TEST(Breakdown, BadParametersAreInvalidArgument) {
 
 TEST(Breakdown, LightLoadHasLargeMargin) {
   workload::TaskSet ts;
-  ts.add(task(0, 1000, 10, 1000));
+  ts.add(runtime_task(0, 1000, 10, 1000));
   const auto alpha = breakdown_factor({10, 8}, ts);
   ASSERT_TRUE(alpha.ok());
   EXPECT_GT(*alpha, 2.0);
@@ -49,8 +39,8 @@ TEST(Breakdown, LightLoadHasLargeMargin) {
 
 TEST(Breakdown, ScaledSetStillSchedulableAtAlpha) {
   workload::TaskSet ts;
-  ts.add(task(0, 100, 10, 90));
-  ts.add(task(1, 200, 30, 150));
+  ts.add(runtime_task(0, 100, 10, 90));
+  ts.add(runtime_task(1, 200, 30, 150));
   const ServerParams g{20, 12};
   if (!theorem4_check(g, ts)) GTEST_SKIP();
   const auto alpha_or = breakdown_factor(g, ts);
@@ -76,7 +66,7 @@ TEST(MinSlack, PositiveIffSchedulable) {
     const Slot period = 50 + rng.uniform_int(0, 200);
     const Slot deadline = period - rng.uniform_int(0, period / 4);
     const Slot wcet = 1 + rng.uniform_int(0, deadline / 3);
-    ts.add(task(0, period, wcet, deadline));
+    ts.add(runtime_task(0, period, wcet, deadline));
     const Slot pi = 5 + rng.uniform_int(0, 20);
     const ServerParams g{pi, 1 + rng.uniform_int(0, pi - 1)};
 
@@ -92,7 +82,7 @@ TEST(MinSlack, PositiveIffSchedulable) {
 
 TEST(MinSlack, OverUtilizedServerIsNegative) {
   workload::TaskSet ts;
-  ts.add(task(0, 10, 6, 10));  // util 0.6
+  ts.add(runtime_task(0, 10, 6, 10));  // util 0.6
   const auto slack = min_slack({10, 3}, ts);  // bandwidth 0.3
   ASSERT_TRUE(slack.ok());
   EXPECT_LT(*slack, 0);
@@ -106,8 +96,8 @@ TEST(MinSlack, EmptySetIsFailedPrecondition) {
 
 TEST(MinTheta, MatchesDirectSearch) {
   workload::TaskSet ts;
-  ts.add(task(0, 100, 10, 80));
-  ts.add(task(1, 400, 40, 300));
+  ts.add(runtime_task(0, 100, 10, 80));
+  ts.add(runtime_task(1, 400, 40, 300));
   const ServerParams g{20, 20};
   const auto needed = min_required_theta(g, ts);
   ASSERT_TRUE(needed.ok());

@@ -6,6 +6,7 @@
 #include "core/pchannel.hpp"
 #include "core/regmap.hpp"
 #include "sched/table_metrics.hpp"
+#include "task_builders.hpp"
 #include "workload/generator.hpp"
 
 namespace ioguard {
@@ -13,22 +14,6 @@ namespace {
 
 using sched::SlotPlacement;
 using sched::TimeSlotTable;
-
-workload::IoTaskSpec predefined(std::uint32_t id, Slot t, Slot c,
-                                Slot offset = 0) {
-  workload::IoTaskSpec s;
-  s.id = TaskId{id};
-  s.vm = VmId{0};
-  s.device = DeviceId{0};
-  s.name = "p" + std::to_string(id);
-  s.kind = workload::TaskKind::kPredefined;
-  s.period = t;
-  s.wcet = c;
-  s.deadline = t;
-  s.offset = offset;
-  s.payload_bytes = 16;
-  return s;
-}
 
 // ------------------------------------------------------------- table metrics
 
@@ -76,9 +61,9 @@ TEST(TableMetrics, SpreadPlacementBeatsEdfPackOnEveryAxis) {
   // placements -- spread leaves shorter busy runs and more admissible
   // R-channel bandwidth.
   workload::TaskSet ts;
-  ts.add(predefined(0, 100, 20));
-  ts.add(predefined(1, 200, 30));
-  ts.add(predefined(2, 400, 60));
+  ts.add(tests::predefined_task(0, 100, 20, 100));
+  ts.add(tests::predefined_task(1, 200, 30, 200));
+  ts.add(tests::predefined_task(2, 400, 60, 400));
 
   const auto spread =
       sched::build_time_slot_table(ts, Slot{1} << 24, SlotPlacement::kSpread);
@@ -101,7 +86,7 @@ TEST(TableMetrics, SpreadPlacementBeatsEdfPackOnEveryAxis) {
 
 TEST(TableMetrics, AdmissibleBandwidthBelowFreeBandwidth) {
   workload::TaskSet ts;
-  ts.add(predefined(0, 50, 15));
+  ts.add(tests::predefined_task(0, 50, 15, 50));
   const auto build = sched::build_time_slot_table(ts);
   ASSERT_TRUE(build.feasible);
   const auto m = sched::analyze_table(build.table);
@@ -127,8 +112,8 @@ TEST(RegMap, ResetStateAndReadOnlyRegisters) {
 
 TEST(RegMap, ProgramDecodeRoundTrip) {
   workload::TaskSet ts;
-  ts.add(predefined(3, 100, 10, 5));
-  ts.add(predefined(7, 200, 20));
+  ts.add(tests::predefined_task(3, 100, 10, 100, 5));
+  ts.add(tests::predefined_task(7, 200, 20, 200));
   const auto build = sched::build_time_slot_table(ts);
   ASSERT_TRUE(build.feasible);
   const std::vector<sched::ServerParams> servers = {{20, 5}, {50, 10}};
@@ -196,7 +181,7 @@ TEST(RegMap, DecodedTableDrivesPchannelIdentically) {
   // End-to-end: firmware programs registers, hardware decodes, and the
   // decoded configuration runs the P-channel exactly like the original.
   workload::TaskSet ts;
-  ts.add(predefined(0, 10, 3));
+  ts.add(tests::predefined_task(0, 10, 3, 10));
   const auto build = sched::build_time_slot_table(ts);
   ASSERT_TRUE(build.feasible);
 

@@ -22,11 +22,11 @@
 // Blank lines and lines starting with '#' are ignored, so request scripts
 // can be commented.
 
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "analysis/artifact_builder.hpp"
+#include "common/atomic_file.hpp"
 #include "common/cli.hpp"
 #include "common/status.hpp"
 #include "sched/slot_table.hpp"
@@ -77,15 +77,7 @@ StatusOr<ioguard::sched::TimeSlotTable> case_study_table(
   if (artifacts.tables.empty())
     return ioguard::FailedPreconditionError(
         "case-study artifacts contain no device tables");
-  std::size_t busiest = 0;
-  for (std::size_t d = 1; d < artifacts.tables.size(); ++d) {
-    const auto used = [&artifacts](std::size_t i) {
-      return artifacts.tables[i].hyperperiod() -
-             artifacts.tables[i].free_slots();
-    };
-    if (used(d) > used(busiest)) busiest = d;
-  }
-  return artifacts.tables[busiest];
+  return artifacts.tables[artifacts.busiest_device()];
 }
 
 Status run(const ioguard::CliArgs& args) {
@@ -129,11 +121,9 @@ Status run(const ioguard::CliArgs& args) {
   if (!metrics_out.empty()) {
     ioguard::telemetry::MetricsRegistry registry;
     engine.export_metrics(registry);
-    std::ofstream os(metrics_out);
-    if (!os)
-      return ioguard::UnavailableError("cannot open --metrics-out file " +
-                                       metrics_out);
-    ioguard::telemetry::write_prometheus(os, registry);
+    ioguard::AtomicFileWriter out(metrics_out);
+    ioguard::telemetry::write_prometheus(out.stream(), registry);
+    return out.commit();
   }
   return ioguard::OkStatus();
 }
