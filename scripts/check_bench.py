@@ -15,7 +15,7 @@ Checks, with no third-party dependencies:
   * optionally, --min-speedup S asserts the total speedup estimate
     (CI runs a --jobs=2 smoke and expects parallelism to materialize);
   * optionally, --min-metric NAME:S (repeatable) asserts a named metric
-    (CI gates bench_engine's metrics.event_speedup_low_util this way).
+    (CI gates bench_engine's metrics.event_speedup_* ratios this way).
 
 Usage: check_bench.py FILE.json [...] [--min-speedup=S] [--min-metric=NAME:S]
 Exit status: 0 all checks pass, 1 any failure (each failure is printed).

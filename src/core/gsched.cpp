@@ -32,16 +32,25 @@ void GSched::set_server(std::size_t i, const sched::ServerParams& params) {
 
 void GSched::replenish(Slot now) {
   for (std::size_t i = 0; i < servers_.size(); ++i) {
-    // Catch up all period boundaries at or before `now` (grants happen only
-    // through pick(), which is called every free slot, so usually one step).
-    while (now >= state_[i].next_replenish) {
-      state_[i].budget = servers_[i].theta;
-      state_[i].next_replenish += servers_[i].pi;
-    }
+    // Catch up all period boundaries at or before `now` in one step; a
+    // (Pi=1, Theta=0) server of a task-less VM may be many periods behind.
+    ServerState& st = state_[i];
+    if (now < st.next_replenish) continue;
+    const Slot pi = servers_[i].pi;
+    st.budget = servers_[i].theta;
+    st.next_replenish += ((now - st.next_replenish) / pi + 1) * pi;
   }
 }
 
 std::optional<std::size_t> GSched::pick(
+    Slot now, const std::vector<ShadowRegister>& shadows) {
+  const auto grant = select(now, shadows);
+  if (!grant) return std::nullopt;
+  commit(*grant, 1);
+  return grant->vm;
+}
+
+std::optional<GSched::Grant> GSched::select(
     Slot now, const std::vector<ShadowRegister>& shadows) {
   IOGUARD_CHECK(shadows.size() == servers_.size());
   replenish(now);
@@ -63,28 +72,19 @@ std::optional<std::size_t> GSched::pick(
   };
 
   // The running winner's key is cached so each candidate costs one key
-  // computation, not two (pick() runs once per free slot per device).
+  // computation, not two (select() runs once per free-slot decision).
+  const bool budgets = policy_ != GschedPolicy::kGlobalEdfNoBudget;
   std::tuple<Slot, Slot, Slot> best_key{};
   for (std::size_t i = 0; i < shadows.size(); ++i) {
     if (!shadows[i].valid) continue;
-    if (policy_ != GschedPolicy::kGlobalEdfNoBudget &&
-        state_[i].budget == 0)
-      continue;
+    if (budgets && state_[i].budget == 0) continue;
     const auto k = key(i);
     if (!best || k < best_key) {
       best = i;
       best_key = k;
     }
   }
-
-  if (best) {
-    if (policy_ != GschedPolicy::kGlobalEdfNoBudget) {
-      IOGUARD_CHECK(state_[*best].budget > 0);
-      --state_[*best].budget;
-    }
-    ++state_[*best].granted;
-    return best;
-  }
+  if (best) return Grant{*best, budgets, false};
 
   // Slack reclamation: no budgeted candidate, but the slot would otherwise
   // idle -- hand it to the earliest-deadline pending operation for free.
@@ -96,11 +96,26 @@ std::optional<std::size_t> GSched::pick(
       best_deadline = shadows[i].absolute_deadline;
     }
   }
-  if (best) {
-    ++state_[*best].granted;
-    ++state_[*best].slack_granted;
+  if (best) return Grant{*best, false, true};
+  return std::nullopt;
+}
+
+void GSched::commit(const Grant& grant, Slot slots) {
+  ServerState& st = state_.at(grant.vm);
+  if (grant.budgeted) {
+    IOGUARD_CHECK(st.budget >= slots);
+    st.budget -= slots;
   }
-  return best;
+  st.granted += slots;
+  if (grant.slack) st.slack_granted += slots;
+}
+
+Slot GSched::next_replenish(const std::vector<ShadowRegister>& shadows) const {
+  Slot earliest = kNeverSlot;
+  for (std::size_t i = 0; i < shadows.size(); ++i)
+    if (shadows[i].valid)
+      earliest = std::min(earliest, state_[i].next_replenish);
+  return earliest;
 }
 
 }  // namespace ioguard::core

@@ -34,15 +34,43 @@ class GSched {
   GSched(std::vector<sched::ServerParams> servers,
          GschedPolicy policy = GschedPolicy::kServerEdf);
 
+  /// A G-Sched decision: the VM that owns the slot and how it pays for it.
+  struct Grant {
+    std::size_t vm = 0;
+    bool budgeted = false;  ///< consumes server budget
+    bool slack = false;     ///< slack reclamation (no budgeted candidate)
+  };
+
   /// Picks the VM index to receive free slot `now`, among pools whose shadow
   /// register holds a pending operation. nullopt = slot stays idle.
   /// Budget accounting (replenish at period boundaries, consume on grant)
   /// happens inside. Slots no budgeted candidate wants are reclaimed: the
   /// earliest-deadline pending shadow receives the slot without consuming
   /// budget (work-conserving slack reclamation; each VM's Theta-per-Pi
-  /// guarantee is a minimum and is unaffected).
+  /// guarantee is a minimum and is unaffected). Equivalent to select()
+  /// followed by commit(grant, 1).
   std::optional<std::size_t> pick(Slot now,
                                   const std::vector<ShadowRegister>& shadows);
+
+  /// The selection half of pick(): replenishes budgets through `now` and
+  /// returns the slot's owner without charging it.
+  std::optional<Grant> select(Slot now,
+                              const std::vector<ShadowRegister>& shadows);
+
+  /// The commit half of pick(): charges `slots` free slots to `grant`. While
+  /// the shadows are unchanged, a grant that is still within its budget and
+  /// before next_replenish() would be selected again on every one of them.
+  void commit(const Grant& grant, Slot slots);
+
+  /// Earliest period boundary among servers whose shadow register holds an
+  /// operation (kNeverSlot when none does): the first slot at which a
+  /// replenishment could change select()'s answer.
+  [[nodiscard]] Slot next_replenish(
+      const std::vector<ShadowRegister>& shadows) const;
+
+  /// Catches every server's budget up to the period boundaries at or before
+  /// `now` (idempotent; select() does it implicitly).
+  void replenish(Slot now);
 
   [[nodiscard]] const std::vector<sched::ServerParams>& servers() const {
     return servers_;
@@ -74,8 +102,6 @@ class GSched {
     Slot granted = 0;
     Slot slack_granted = 0;
   };
-
-  void replenish(Slot now);
 
   std::vector<sched::ServerParams> servers_;
   std::vector<ServerState> state_;

@@ -55,7 +55,9 @@ std::vector<sched::ServerParams> fallback_servers(
 }  // namespace
 
 Hypervisor::Hypervisor(const workload::CaseStudyWorkload& wl,
-                       const HypervisorConfig& config) {
+                       const HypervisorConfig& config)
+    : wake_(workload::kCaseStudyDeviceCount, 0),
+      streams_(workload::kCaseStudyDeviceCount) {
   const std::size_t n_dev = workload::kCaseStudyDeviceCount;
   managers_.reserve(n_dev);
   designs_.reserve(n_dev);
@@ -173,9 +175,10 @@ Hypervisor::Hypervisor(const workload::CaseStudyWorkload& wl,
 
 bool Hypervisor::submit(const workload::Job& job, Slot now) {
   IOGUARD_CHECK(job.device.value < managers_.size());
-  // New work invalidates the target manager's wake hint: it must be ticked
-  // this very slot (submissions happen before the slot's tick_slot call).
-  if (skip_idle_) wake_[job.device.value] = now;
+  // New work can only bring the target manager's wake forward: it must be
+  // ticked this very slot (submissions happen before the slot's tick).
+  Slot& wake = wake_[job.device.value];
+  wake = std::min(wake, now);
   return managers_[job.device.value]->submit(job, now);
 }
 
@@ -185,15 +188,19 @@ void Hypervisor::set_slot_skipping(bool on) {
 }
 
 void Hypervisor::tick_slot(Slot now, std::vector<iodev::Completion>& out) {
-  if (!skip_idle_) {
-    for (auto& m : managers_) m->tick_slot(now, out);
-    advance_mode(now);
+  if (skip_idle_) {
+    tick_calendar(now, out);
     return;
   }
-  // Calendar path: a manager whose wake hint is still in the future would
-  // tick as a pure ++quiescent no-op, so attribute the slot directly and
-  // skip the dense tick. Managers are visited in device order either way,
-  // so `out` is byte-identical to the dense path.
+  for (auto& m : managers_) m->tick_slot(now, out);
+  advance_mode(now);
+}
+
+void Hypervisor::tick_calendar(Slot now, std::vector<iodev::Completion>& out) {
+  // A manager whose wake hint is still in the future would tick as a pure
+  // ++quiescent no-op, so attribute the slot directly and skip the dense
+  // tick. Managers are visited in device order either way, so `out` is
+  // byte-identical to the dense path.
   for (std::size_t d = 0; d < managers_.size(); ++d) {
     if (wake_[d] > now) {
       managers_[d]->note_skipped_slots(1);
@@ -203,6 +210,30 @@ void Hypervisor::tick_slot(Slot now, std::vector<iodev::Completion>& out) {
     wake_[d] = managers_[d]->next_busy_slot(now + 1);
   }
   advance_mode(now);
+}
+
+void Hypervisor::advance(Slot from, Slot to,
+                         std::vector<iodev::Completion>& out) {
+  const bool lockstep =
+      mode_ != nullptr ||
+      std::any_of(managers_.begin(), managers_.end(),
+                  [](const auto& m) { return m->needs_lockstep(); });
+  if (!lockstep) {
+    streams_.clear();
+    for (std::size_t d = 0; d < managers_.size(); ++d)
+      managers_[d]->advance(from, to, streams_.device(d));
+    streams_.merge_into(out);
+    return;
+  }
+  for (Slot s = from; s < to;) {
+    tick_calendar(s, out);
+    // Jump the stretch in which no manager can act and no mode transition
+    // falls due.
+    const Slot next = s + 1;
+    const Slot wake = std::min(to, calendar_wake(next));
+    if (wake > next) note_skipped_slots(wake - next);
+    s = std::max(next, wake);
+  }
 }
 
 void Hypervisor::advance_mode(Slot now) {
@@ -234,30 +265,31 @@ void Hypervisor::advance_mode(Slot now) {
   }
   // A switch changed what the managers will do with their queues: wake them
   // next slot so the calendar cannot coast on a pre-switch hint.
-  if (skip_idle_ && !(mode_to_hi_.empty() && mode_to_lo_.empty()))
+  if (!(mode_to_hi_.empty() && mode_to_lo_.empty()))
     for (auto& w : wake_) w = std::min(w, now + 1);
 }
 
 Slot Hypervisor::next_busy_slot(Slot from) const {
-  Slot wake = kNeverSlot;
-  if (skip_idle_) {
-    // wake_ is maintained by tick_slot/submit and is never stale: every
-    // entry was recomputed at its manager's last tick, and nothing can
-    // advance a manager's first interesting slot in between except a
-    // submission, which clamps it.
-    for (const Slot w : wake_) wake = std::min(wake, std::max(w, from));
-  } else {
-    for (const auto& m : managers_)
-      wake = std::min(wake, m->next_busy_slot(from));
-  }
-  if (mode_ != nullptr) {
-    // An armed switch or due recovery is a reason to tick even when every
-    // channel is idle: the event-driven runner must not jump past the
-    // hysteresis deadline (event/stepped byte-equality).
-    const Slot due = mode_->next_transition_due();
-    if (due != kNeverSlot) wake = std::min(wake, std::max(due, from));
-  }
+  if (skip_idle_) return calendar_wake(from);
+  Slot wake = mode_due(from);
+  for (const auto& m : managers_)
+    wake = std::min(wake, m->next_busy_slot(from));
   return wake;
+}
+
+Slot Hypervisor::calendar_wake(Slot from) const {
+  Slot wake = mode_due(from);
+  for (const Slot w : wake_) wake = std::min(wake, std::max(w, from));
+  return wake;
+}
+
+Slot Hypervisor::mode_due(Slot from) const {
+  // An armed switch or due recovery is a reason to tick even when every
+  // channel is idle: time must not jump past the hysteresis deadline
+  // (event/stepped byte-equality).
+  if (mode_ == nullptr) return kNeverSlot;
+  const Slot due = mode_->next_transition_due();
+  return due == kNeverSlot ? kNeverSlot : std::max(due, from);
 }
 
 void Hypervisor::note_skipped_slots(std::uint64_t n) {

@@ -69,21 +69,31 @@ class Hypervisor {
   /// appended to `out`.
   void tick_slot(Slot now, std::vector<iodev::Completion>& out);
 
+  /// Advances every device manager over [from, to) with no submission in
+  /// between, appending completions in (slot, device) order -- exactly what
+  /// tick_slot() on each slot emits (DESIGN.md §15). Without taps each
+  /// manager advances on its own (VirtManager::advance) and the streams are
+  /// merged; with a trace buffer, jitter recorder, mode controller or fault
+  /// injector the managers move in lock-step, slot by slot, skipping those
+  /// whose wake hint lies ahead.
+  void advance(Slot from, Slot to, std::vector<iodev::Completion>& out);
+
+  // ---- Slot-skipping hints. The trial runner advances through advance();
+  // these remain for the benchmark harness's layer replay
+  // (perfbench/harness/replay.cpp), which skips idle slots itself. -------
   /// Earliest slot >= `from` at which any device manager has work (min over
   /// managers' wake hints); kNeverSlot when every channel is idle forever.
   [[nodiscard]] Slot next_busy_slot(Slot from) const;
 
   /// Batch-attributes `n` skipped slots as quiescent on every manager
-  /// (event-driven runner; see VirtManager::note_skipped_slots).
+  /// (see VirtManager::note_skipped_slots).
   void note_skipped_slots(std::uint64_t n);
 
-  /// Event-driven mode (DESIGN.md §15): managers whose wake hint lies in the
-  /// future are skipped inside tick_slot (their slot batch-attributed as
-  /// quiescent) instead of paying a full dense tick. Off by default so the
-  /// stepped reference and existing direct users keep the dense path; the
-  /// runner switches it on per trial. Results are bit-identical either way:
-  /// a manager is only skipped when its tick would have been a pure
-  /// ++quiescent no-op.
+  /// Managers whose wake hint lies in the future are skipped inside
+  /// tick_slot (their slot batch-attributed as quiescent) instead of paying
+  /// a full dense tick. Off by default so the stepped reference keeps the
+  /// dense path. Results are bit-identical either way: a manager is only
+  /// skipped when its tick would have been a pure ++quiescent no-op.
   void set_slot_skipping(bool on);
 
   [[nodiscard]] const std::vector<DeviceDesign>& designs() const {
@@ -164,6 +174,14 @@ class Hypervisor {
   /// Applies pending LO->HI switches and due recoveries for slot `now`
   /// across every device manager (no-op without a mode controller).
   void advance_mode(Slot now);
+  /// One slot on the wake calendar: managers whose wake lies ahead take a
+  /// quiescent increment, the rest tick and recompute their wake.
+  void tick_calendar(Slot now, std::vector<iodev::Completion>& out);
+  /// Earliest slot >= `from` on the wake calendar, including a due mode
+  /// transition.
+  [[nodiscard]] Slot calendar_wake(Slot from) const;
+  /// The next mode transition due at or after `from` (kNeverSlot if none).
+  [[nodiscard]] Slot mode_due(Slot from) const;
 
   std::vector<std::unique_ptr<VirtManager>> managers_;  // index = DeviceId
   std::vector<DeviceDesign> designs_;
@@ -172,10 +190,13 @@ class Hypervisor {
   std::vector<std::size_t> mode_to_hi_;       ///< advance_mode scratch
   std::vector<std::size_t> mode_to_lo_;       ///< advance_mode scratch
   EventTrace* tracer_ = nullptr;              ///< for kModeSwitch/kModeRecover
-  /// Per-manager wake calendar for set_slot_skipping: earliest slot the
-  /// manager must next be ticked (valid only while skip_idle_).
+  /// Per-manager wake calendar: no manager can act before its entry. An
+  /// entry is recomputed when its manager ticks on the calendar and clamped
+  /// by submissions and mode switches, the only events that can bring work
+  /// forward, so it stays a valid bound under every advance path.
   std::vector<Slot> wake_;
-  bool skip_idle_ = false;
+  bool skip_idle_ = false;  ///< tick_slot() uses the calendar
+  iodev::CompletionStreams streams_;  ///< per-device advance() output
   std::vector<std::uint8_t> pchannel_tasks_;  ///< bitmap over TaskId.value
   std::vector<Demotion> demotions_;
 };

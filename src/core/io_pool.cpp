@@ -72,10 +72,10 @@ std::size_t IoPool::shed_lo(const std::vector<std::uint8_t>& hi_tasks) {
   return shed;
 }
 
-std::optional<ParamSlot> IoPool::execute_shadow_slot() {
+std::optional<ParamSlot> IoPool::execute_shadow_slots(Slot slots) {
   IOGUARD_CHECK_MSG(shadow_.valid, "executing an invalid shadow register");
   const EntryHandle h = shadow_.handle;
-  if (queue_.consume_one_slot(h)) {
+  if (queue_.consume_slots(h, slots)) {
     ParamSlot finished = queue_.params(h);
     queue_.remove(h);  // "the executor ... removes it from the priority queue"
     shadow_.valid = false;

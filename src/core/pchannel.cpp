@@ -19,20 +19,66 @@ PChannel::PChannel(workload::TaskSet predefined, sched::TimeSlotTable table)
     runs_.push_back(run);
   }
   const auto& raw = table_.raw();
-  reserved_in_period_.reserve(raw.size() - table_.free_slots());
-  for (Slot s = 0; s < static_cast<Slot>(raw.size()); ++s)
-    if (raw[s] != sched::TimeSlotTable::kFree) reserved_in_period_.push_back(s);
+  IOGUARD_CHECK_MSG(raw.size() <= 0xffffffffu, "hyperperiod exceeds 2^32 slots");
+  std::uint32_t free_seen = 0;
+  for (std::uint32_t s = 0; s < raw.size(); ++s) {
+    if (raw[s] == sched::TimeSlotTable::kFree) {
+      ++free_seen;
+    } else if (!reserved_runs_.empty() && reserved_runs_.back().end == s) {
+      ++reserved_runs_.back().end;
+    } else {
+      reserved_runs_.push_back(ReservedRun{s, s + 1, free_seen});
+    }
+  }
+}
+
+std::size_t PChannel::run_after(Slot phase) const {
+  const auto it = std::upper_bound(
+      reserved_runs_.begin(), reserved_runs_.end(), phase,
+      [](Slot p, const ReservedRun& r) { return p < r.end; });
+  return static_cast<std::size_t>(it - reserved_runs_.begin());
 }
 
 Slot PChannel::next_reserved_slot(Slot from) const {
-  if (reserved_in_period_.empty()) return kNeverSlot;
+  if (reserved_runs_.empty()) return kNeverSlot;
   const Slot hp = table_.hyperperiod();
   const Slot phase = from % hp;
-  const auto it = std::lower_bound(reserved_in_period_.begin(),
-                                   reserved_in_period_.end(), phase);
-  if (it != reserved_in_period_.end()) return from + (*it - phase);
+  const std::size_t i = run_after(phase);
+  if (i < reserved_runs_.size())
+    return from + (std::max<Slot>(reserved_runs_[i].start, phase) - phase);
   // Wrap: the next reservation is the first one of the following period.
-  return from + (hp - phase) + reserved_in_period_.front();
+  return from + (hp - phase) + reserved_runs_.front().start;
+}
+
+Slot PChannel::free_before(Slot t) const {
+  const Slot hp = table_.hyperperiod();
+  const Slot phase = t % hp;
+  Slot in_period = phase;
+  const std::size_t i = run_after(phase);
+  // Runs before i end at or before `phase`; run i may contain it.
+  if (i < reserved_runs_.size() && reserved_runs_[i].start <= phase) {
+    in_period = reserved_runs_[i].free_before;
+  } else if (i > 0) {
+    const ReservedRun& r = reserved_runs_[i - 1];
+    in_period = r.free_before + (phase - r.end);
+  }
+  return (t / hp) * table_.free_slots() + in_period;
+}
+
+Slot PChannel::free_slot(Slot index) const {
+  const Slot f = table_.free_slots();
+  if (f == 0) return kNeverSlot;
+  const Slot r = index % f;
+  // The last run with at most r free slots before it precedes the target.
+  const auto it = std::upper_bound(
+      reserved_runs_.begin(), reserved_runs_.end(), r,
+      [](Slot v, const ReservedRun& run) { return v < run.free_before; });
+  Slot phase = r;
+  if (it != reserved_runs_.begin()) {
+    const ReservedRun& run = *(it - 1);
+    phase = run.end + (r - run.free_before);
+  }
+  return (index / f) * table_.hyperperiod() + phase;
 }
 
 void PChannel::set_jitter_recorder(JitterRecorder* recorder) {
@@ -78,13 +124,57 @@ std::optional<iodev::Completion> PChannel::execute_slot(Slot now,
                                 ? run_of_task_[occupant->value]
                                 : kNoRun;
   IOGUARD_CHECK_MSG(idx != kNoRun, "table references unknown task");
-  TaskRun& run = runs_[idx];
+  iodev::Completion done;
+  bool completed = false;
+  slot_used = step(now, idx, done, completed);
+  if (completed) return done;
+  return std::nullopt;
+}
 
+void PChannel::execute_reserved(Slot from, Slot to,
+                                std::vector<iodev::Completion>& out,
+                                Slot& busy, Slot& wasted) {
+  if (reserved_runs_.empty() || from >= to) return;
+  const Slot hp = table_.hyperperiod();
+  const auto& raw = table_.raw();
+  // Walk the runs in order from the one at or after `from`, wrapping into
+  // the next hyperperiod.
+  Slot base = from - from % hp;
+  std::size_t i = run_after(from % hp);
+  for (;;) {
+    if (i == reserved_runs_.size()) {
+      i = 0;
+      base += hp;
+    }
+    const ReservedRun& run = reserved_runs_[i++];
+    const Slot begin = std::max(from, base + run.start);
+    const Slot end = std::min(to, base + run.end);
+    for (Slot s = begin; s < end; ++s) {
+      const std::uint32_t task = raw[static_cast<std::size_t>(s - base)];
+      const std::uint32_t idx =
+          task < run_of_task_.size() ? run_of_task_[task] : kNoRun;
+      IOGUARD_CHECK_MSG(idx != kNoRun, "table references unknown task");
+      iodev::Completion done;
+      bool completed = false;
+      if (step(s, idx, done, completed)) {
+        ++busy;
+      } else {
+        ++wasted;
+      }
+      if (completed) out.push_back(done);
+    }
+    if (base + run.end >= to) return;
+  }
+}
+
+bool PChannel::step(Slot now, std::uint32_t idx, iodev::Completion& done,
+                    bool& completed) {
+  TaskRun& run = runs_[idx];
   if (run.remaining == 0) {
     // Start the next job if it has been released by now.
     if (run.next_release > now) {
       ++wasted_slots_;  // startup transient of a wrapping job
-      return std::nullopt;
+      return false;
     }
     run.current_release = run.next_release;
     run.next_release += run.spec.period;
@@ -92,38 +182,35 @@ std::optional<iodev::Completion> PChannel::execute_slot(Slot now,
     ++run.jobs_started;
   }
 
-  slot_used = true;
   ++busy_slots_;
-  if (--run.remaining == 0) {
-    ++jobs_completed_;
-    workload::Job job;
-    // High bit marks hypervisor-generated job ids, so they can never collide
-    // with the dense trace-job ids of the R-channel.
-    job.id = JobId{0x40000000u | static_cast<std::uint32_t>(next_job_seq_++)};
-    job.task = run.spec.id;
-    job.vm = run.spec.vm;
-    job.device = run.spec.device;
-    job.release = run.current_release;
-    job.absolute_deadline = run.current_release + run.spec.deadline;
-    job.wcet = run.spec.wcet;
-    job.payload_bytes = run.spec.payload_bytes;
+  if (--run.remaining != 0) return true;
+  ++jobs_completed_;
+  workload::Job job;
+  // High bit marks hypervisor-generated job ids, so they can never collide
+  // with the dense trace-job ids of the R-channel.
+  job.id = JobId{0x40000000u | static_cast<std::uint32_t>(next_job_seq_++)};
+  job.task = run.spec.id;
+  job.vm = run.spec.vm;
+  job.device = run.spec.device;
+  job.release = run.current_release;
+  job.absolute_deadline = run.current_release + run.spec.deadline;
+  job.wcet = run.spec.wcet;
+  job.payload_bytes = run.spec.payload_bytes;
 
-    iodev::Completion done;
-    done.job = job;
-    done.enqueued_at = run.current_release;
-    done.completed_at = now + 1;
-    if (jitter_ != nullptr && idx < intended_.size() &&
-        !intended_[idx].empty()) {
-      const auto& sched = intended_[idx];
-      const std::uint64_t n = run.jobs_started - 1;  // job completing now
-      const Slot intended = (n / sched.size()) * table_.hyperperiod() +
-                            sched[n % sched.size()];
-      jitter_->record(JitterChannel::kPChannel, job.vm, job.task, intended,
-                      done.completed_at);
-    }
-    return done;
+  done.job = job;
+  done.enqueued_at = run.current_release;
+  done.completed_at = now + 1;
+  completed = true;
+  if (jitter_ != nullptr && idx < intended_.size() &&
+      !intended_[idx].empty()) {
+    const auto& sched = intended_[idx];
+    const std::uint64_t n = run.jobs_started - 1;  // job completing now
+    const Slot intended = (n / sched.size()) * table_.hyperperiod() +
+                          sched[n % sched.size()];
+    jitter_->record(JitterChannel::kPChannel, job.vm, job.task, intended,
+                    done.completed_at);
   }
-  return std::nullopt;
+  return true;
 }
 
 }  // namespace ioguard::core

@@ -37,12 +37,25 @@ class PChannel {
   }
 
   /// Earliest absolute slot >= `from` that sigma* reserves (kNeverSlot when
-  /// the table is all-free). Wake hint for the event-driven runner: between
-  /// reserved slots an otherwise-idle channel executes nothing, so those
-  /// slots can be skipped and batch-attributed. A binary search over the
-  /// sorted within-hyperperiod reservation list keeps this O(log H) without
-  /// materializing a per-slot array (hyperperiods reach 2^24 slots).
+  /// the table is all-free). Between reserved slots an otherwise-idle
+  /// channel executes nothing.
   [[nodiscard]] Slot next_reserved_slot(Slot from) const;
+
+  /// Free slots in the absolute range [0, t); free slots in [a, b) are
+  /// free_before(b) - free_before(a).
+  [[nodiscard]] Slot free_before(Slot t) const;
+
+  /// Absolute index of the free slot with 0-based free-slot number `index`,
+  /// so free_slot(free_before(t)) is the first free slot at or after t.
+  /// kNeverSlot when the table is all-reserved.
+  [[nodiscard]] Slot free_slot(Slot index) const;
+
+  /// Bulk form of execute_slot: executes every reserved slot in the absolute
+  /// range [from, to) in slot order, appending completions to `out`. Adds
+  /// the slots that did work to `busy` and the startup-transient slots that
+  /// executed nothing to `wasted`; free slots in the range are untouched.
+  void execute_reserved(Slot from, Slot to, std::vector<iodev::Completion>& out,
+                        Slot& busy, Slot& wasted);
 
   [[nodiscard]] const sched::TimeSlotTable& table() const { return table_; }
   [[nodiscard]] const workload::TaskSet& tasks() const { return tasks_; }
@@ -68,11 +81,31 @@ class PChannel {
     std::uint32_t jobs_started = 0;
   };
 
+  /// A maximal run [start, end) of reserved slots within one hyperperiod,
+  /// with the number of free slots before it. The run list is sigma*'s
+  /// run-length encoding: it answers next_reserved_slot, free-slot counting
+  /// and run execution with one binary search each, without a per-slot
+  /// array (hyperperiods reach 2^24 slots).
+  struct ReservedRun {
+    std::uint32_t start = 0;
+    std::uint32_t end = 0;
+    std::uint32_t free_before = 0;
+  };
+
+  /// Index of the first run ending after within-period slot `phase`
+  /// (reserved_runs_.size() when none does).
+  [[nodiscard]] std::size_t run_after(Slot phase) const;
+  /// Executes reserved slot `now` for run `idx`; false when the slot passed
+  /// before the run's next release (startup transient). A completion lands
+  /// in `done` and sets `completed`.
+  bool step(Slot now, std::uint32_t idx, iodev::Completion& done,
+            bool& completed);
+
   workload::TaskSet tasks_;
   sched::TimeSlotTable table_;
-  /// Reserved slot indices within one hyperperiod, ascending (built once at
-  /// construction; the table is immutable afterwards).
-  std::vector<Slot> reserved_in_period_;
+  /// sigma*'s reserved runs within one hyperperiod, ascending (built once
+  /// at construction; the table is immutable afterwards).
+  std::vector<ReservedRun> reserved_runs_;
   // Run state, indexed through run_of_task_ (TaskId.value -> runs_ index,
   // kNoRun when the id is not pre-loaded here). The executor hits this once
   // per reserved slot, so the lookup is a plain array read, not a hash probe.

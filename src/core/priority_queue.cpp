@@ -77,11 +77,12 @@ const ParamSlot& HwPriorityQueue::params(EntryHandle h) const {
   return entries_[h].slot;
 }
 
-bool HwPriorityQueue::consume_one_slot(EntryHandle h) {
+bool HwPriorityQueue::consume_slots(EntryHandle h, Slot slots) {
   IOGUARD_CHECK(valid(h));
   ParamSlot& p = entries_[h].slot;
-  IOGUARD_CHECK(p.remaining > 0);
-  return --p.remaining == 0;
+  IOGUARD_CHECK(slots > 0 && p.remaining >= slots);
+  p.remaining -= slots;
+  return p.remaining == 0;
 }
 
 void HwPriorityQueue::set_deadline(EntryHandle h, Slot absolute_deadline) {

@@ -56,7 +56,12 @@ class HwPriorityQueue {
 
   /// Random-access update: decrements remaining demand by one slot.
   /// Returns true when the entry reached zero (caller should remove it).
-  bool consume_one_slot(EntryHandle h);
+  bool consume_one_slot(EntryHandle h) { return consume_slots(h, 1); }
+
+  /// Bulk form: decrements remaining demand by `slots` (at most the
+  /// remaining demand). The comparator key does not include the demand, so
+  /// the cached winner stays valid. Returns true when the entry reached zero.
+  bool consume_slots(EntryHandle h, Slot slots);
 
   /// Random-access write of the deadline field (used by ageing/ablations).
   void set_deadline(EntryHandle h, Slot absolute_deadline);

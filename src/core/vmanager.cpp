@@ -1,6 +1,7 @@
 #include "core/vmanager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -36,7 +37,7 @@ VirtManager::VirtManager(iodev::DeviceSpec device,
       fault_site_(config.device_index),
       resilience_(config.resilience),
       dispatch_overhead_(config.dispatch_overhead_slots) {
-  IOGUARD_CHECK(config.num_vms > 0);
+  IOGUARD_CHECK(config.num_vms > 0 && config.num_vms <= 64);
   IOGUARD_CHECK_MSG(gsched_->servers().size() == config.num_vms,
                     "one server per VM required");
   pools_.reserve(config.num_vms);
@@ -45,6 +46,7 @@ VirtManager::VirtManager(iodev::DeviceSpec device,
         VmId{static_cast<std::uint32_t>(i)}, config.pool_capacity,
         config.dispatch_overhead_slots));
   shadow_snapshot_.resize(config.num_vms);
+  shadow_stale_ = all_pools();
   last_exposed_.resize(config.num_vms);
   vm_fault_counts_.resize(config.num_vms, 0);
   vm_degraded_.resize(config.num_vms, 0);
@@ -99,6 +101,7 @@ bool VirtManager::submit(const workload::Job& job, Slot now) {
         static_cast<std::uint32_t>(request_cycles));
   if (mode_ != nullptr && request_cycles > request_translator_.wcet())
     mode_->note_budget_overrun(job.vm, now);
+  shadow_stale_ |= std::uint64_t{1} << job.vm.value;
   const bool accepted = pools_[job.vm.value]->submit(job);
   trace(now, accepted ? TraceEventKind::kSubmit : TraceEventKind::kDrop,
         job.vm, job.task, job.id);
@@ -229,6 +232,9 @@ bool VirtManager::rchannel_work_pending() const {
 }
 
 void VirtManager::tick_slot(Slot now, std::vector<iodev::Completion>& out) {
+  // A tick may reshape any pool (retries, aborts, sheds); advance() starts
+  // from a full L-Sched refresh afterwards.
+  shadow_stale_ = all_pools();
   // The impl classifies what the slot was spent on; busy slots count
   // themselves at the point of use (busy_slots_), so the three counters
   // always partition the ticks exactly.
@@ -339,42 +345,7 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
         return SlotUse::kBusy;
       }
     }
-    // Pass-through response channel: bounded response translation.
-    const Cycle response_cycles = response_translator_.translate();
-    if (mode_ != nullptr && response_cycles > response_translator_.wcet())
-      mode_->note_budget_overrun(finished->vm, now);
-    if (jitter_ != nullptr) {
-      // R-channel timing accuracy (DESIGN.md §14): intended delivery is the
-      // release plus the unloaded service demand (wcet + dispatch overhead
-      // = ParamSlot::total); the deviation folds in queueing, scheduling
-      // and retry delay. Translator deviation is sub-slot, in cycles.
-      jitter_->record(JitterChannel::kRChannel, finished->vm, finished->task,
-                      finished->release + finished->total, now + 1);
-      jitter_->record_translator(
-          DeviceId{static_cast<std::uint32_t>(fault_site_)},
-          response_cycles - response_translator_.best_case());
-    }
-    ++runtime_jobs_completed_;
-    iodev::Completion done;
-    done.job.id = finished->job;
-    done.job.task = finished->task;
-    done.job.vm = finished->vm;
-    done.job.device = finished->device;
-    done.job.release = finished->release;
-    done.job.absolute_deadline = finished->absolute_deadline;
-    done.job.wcet = 0;  // consumed
-    done.job.payload_bytes = finished->payload_bytes;
-    done.enqueued_at = finished->release;
-    done.completed_at = now + 1;
-    trace(now, TraceEventKind::kTranslate, done.job.vm, done.job.task,
-          done.job.id, static_cast<std::uint32_t>(response_cycles));
-    trace(now, TraceEventKind::kComplete, done.job.vm, done.job.task,
-          done.job.id);
-    if (done.completed_at > done.job.absolute_deadline)
-      trace(now, TraceEventKind::kDeadlineMiss, done.job.vm, done.job.task,
-            done.job.id,
-            clamp_aux(done.completed_at - done.job.absolute_deadline));
-    out.push_back(done);
+    complete_rchannel(*finished, now, out);
   } else if (injector_ != nullptr) {
     // Partially-executed op now in flight on the device: the watchdog's
     // charge if the device stalls under it.
@@ -384,6 +355,120 @@ VirtManager::SlotUse VirtManager::tick_slot_impl(
     active_job_ = granted.job;
   }
   return SlotUse::kBusy;
+}
+
+void VirtManager::advance(Slot from, Slot to,
+                          std::vector<iodev::Completion>& out) {
+  if (needs_lockstep()) {
+    for (Slot s = from; s < to; ++s) tick_slot(s, out);
+    return;
+  }
+  // Without taps or faults a free slot's only effects are the L-Sched
+  // refresh, the G-Sched grant and the winner's progress, and the grant
+  // repeats until one of its inputs changes; reserved slots only touch the
+  // P-channel. Every counter a tick would bump is bumped here in bulk.
+  // Free slots are addressed by their global free-slot number.
+  const Slot free_begin = pchannel_->free_before(from);
+  const Slot free_end = pchannel_->free_before(to);
+  Slot free_next = free_begin;
+  for (Slot s = from; s < to;) {
+    if (free_next == free_end) {
+      run_pchannel(s, to, out);  // only reservations left
+      break;
+    }
+    refresh_stale_shadows();
+    const Slot slot = pchannel_->free_slot(free_next);
+    const auto grant = gsched_->select(slot, shadow_snapshot_);
+    if (!grant) {
+      // No R-channel work, and none can arrive before `to`.
+      run_pchannel(s, to, out);
+      profile_quiescent_slots_ += free_end - free_next;
+      break;
+    }
+    // The winner keeps the next k free slots: its op's remaining demand,
+    // its budget and the free slots before the next replenishment of a
+    // server with pending work (or `to`) bound how long select() would
+    // keep answering the same.
+    const std::size_t vm = grant->vm;
+    Slot k = pools_[vm]->queue().params(shadow_snapshot_[vm].handle).remaining;
+    if (grant->budgeted) k = std::min(k, gsched_->budget(vm));
+    const Slot replenish_at = gsched_->next_replenish(shadow_snapshot_);
+    const Slot free_bound = replenish_at < to
+                                ? pchannel_->free_before(replenish_at)
+                                : free_end;
+    k = std::min(k, free_bound - free_next);
+    free_next += k;
+    const Slot last = k == 1 ? slot : pchannel_->free_slot(free_next - 1);
+    run_pchannel(s, last, out);
+    gsched_->commit(*grant, k);
+    busy_slots_ += k;
+    if (auto finished = pools_[vm]->execute_shadow_slots(k)) {
+      shadow_stale_ |= std::uint64_t{1} << vm;
+      complete_rchannel(*finished, last, out);
+    }
+    s = last + 1;
+  }
+  // A tick replenishes on every free slot; match its budgets at `to`.
+  if (free_end > free_begin)
+    gsched_->replenish(pchannel_->free_slot(free_end - 1));
+}
+
+void VirtManager::refresh_stale_shadows() {
+  for (std::uint64_t stale = shadow_stale_; stale != 0; stale &= stale - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(stale));
+    pools_[i]->refresh_shadow();
+    shadow_snapshot_[i] = pools_[i]->shadow();
+  }
+  shadow_stale_ = 0;
+}
+
+void VirtManager::run_pchannel(Slot from, Slot to,
+                               std::vector<iodev::Completion>& out) {
+  Slot busy = 0;
+  Slot wasted = 0;
+  pchannel_->execute_reserved(from, to, out, busy, wasted);
+  busy_slots_ += busy;
+  profile_stall_slots_ += wasted;  // reserved but idle (transient)
+}
+
+void VirtManager::complete_rchannel(const ParamSlot& finished, Slot now,
+                                    std::vector<iodev::Completion>& out) {
+  // Pass-through response channel: bounded response translation.
+  const Cycle response_cycles = response_translator_.translate();
+  if (mode_ != nullptr && response_cycles > response_translator_.wcet())
+    mode_->note_budget_overrun(finished.vm, now);
+  if (jitter_ != nullptr) {
+    // R-channel timing accuracy (DESIGN.md §14): intended delivery is the
+    // release plus the unloaded service demand (wcet + dispatch overhead
+    // = ParamSlot::total); the deviation folds in queueing, scheduling
+    // and retry delay. Translator deviation is sub-slot, in cycles.
+    jitter_->record(JitterChannel::kRChannel, finished.vm, finished.task,
+                    finished.release + finished.total, now + 1);
+    jitter_->record_translator(
+        DeviceId{static_cast<std::uint32_t>(fault_site_)},
+        response_cycles - response_translator_.best_case());
+  }
+  ++runtime_jobs_completed_;
+  iodev::Completion done;
+  done.job.id = finished.job;
+  done.job.task = finished.task;
+  done.job.vm = finished.vm;
+  done.job.device = finished.device;
+  done.job.release = finished.release;
+  done.job.absolute_deadline = finished.absolute_deadline;
+  done.job.wcet = 0;  // consumed
+  done.job.payload_bytes = finished.payload_bytes;
+  done.enqueued_at = finished.release;
+  done.completed_at = now + 1;
+  trace(now, TraceEventKind::kTranslate, done.job.vm, done.job.task,
+        done.job.id, static_cast<std::uint32_t>(response_cycles));
+  trace(now, TraceEventKind::kComplete, done.job.vm, done.job.task,
+        done.job.id);
+  if (done.completed_at > done.job.absolute_deadline)
+    trace(now, TraceEventKind::kDeadlineMiss, done.job.vm, done.job.task,
+          done.job.id,
+          clamp_aux(done.completed_at - done.job.absolute_deadline));
+  out.push_back(done);
 }
 
 std::uint64_t VirtManager::lo_pending(std::size_t vm_index) const {
@@ -427,6 +512,7 @@ std::uint64_t VirtManager::apply_mode_switch(std::size_t vm_index) {
                  static_cast<double>(hi.theta) *
                  mode_->config().hi_budget_factor)));
   gsched_->set_server(vm_index, hi);
+  shadow_stale_ |= std::uint64_t{1} << vm_index;
   mode_jobs_shed_ += shed;
   return shed;
 }

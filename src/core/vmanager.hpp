@@ -72,6 +72,24 @@ class VirtManager {
   /// in this slot are appended to `out`.
   void tick_slot(Slot now, std::vector<iodev::Completion>& out);
 
+  /// Advances the slots [from, to) with no submission in between; the
+  /// result -- completions in slot order, every counter, G-Sched and pool
+  /// state -- equals tick_slot() on each slot in turn (DESIGN.md §15). It
+  /// visits only decision points: sigma* runs execute on the P-channel as a
+  /// block, and a G-Sched winner keeps the free slots its selection cannot
+  /// change on (its op's remaining demand, its budget, the next
+  /// replenishment of a server with pending work). With a tap attached
+  /// (needs_lockstep()) it ticks slot by slot.
+  void advance(Slot from, Slot to, std::vector<iodev::Completion>& out);
+
+  /// A fault injector, trace buffer, jitter recorder or mode controller is
+  /// attached: their output is ordered across devices, so the hypervisor
+  /// must interleave the managers slot by slot.
+  [[nodiscard]] bool needs_lockstep() const {
+    return injector_ != nullptr || tracer_ != nullptr || jitter_ != nullptr ||
+           mode_ != nullptr;
+  }
+
   [[nodiscard]] const iodev::DeviceSpec& device() const { return device_; }
   [[nodiscard]] const PChannel& pchannel() const { return *pchannel_; }
   [[nodiscard]] const GSched& gsched() const { return *gsched_; }
@@ -152,7 +170,8 @@ class VirtManager {
     return profile_quiescent_slots_;
   }
 
-  // ---- Event-driven runner support (DESIGN.md §15). ----------------------
+  // ---- Wake hints (DESIGN.md §15): the hypervisor's lock-step calendar and
+  // the benchmark harness's layer replay. --------------------------------
   /// Earliest slot >= `from` at which ticking this manager could execute or
   /// mutate anything: with R-channel work pending (pool entries, retries,
   /// or a partially-executed op) every slot matters; otherwise only sigma*
@@ -165,9 +184,9 @@ class VirtManager {
     return pchannel_->next_reserved_slot(from);
   }
 
-  /// Batch attribution for slots the runner proved quiescent and skipped;
-  /// preserves the busy+stall+quiescent == ticks partition bit-identically
-  /// to having ticked each skipped slot.
+  /// Batch attribution for slots proved quiescent and skipped; preserves
+  /// the busy+stall+quiescent == ticks partition bit-identically to having
+  /// ticked each skipped slot.
   void note_skipped_slots(std::uint64_t n) { profile_quiescent_slots_ += n; }
 
   /// Cycle cost of the virtualization-driver path for the last completion
@@ -194,6 +213,19 @@ class VirtManager {
   enum class SlotUse : std::uint8_t { kBusy, kStall, kQuiescent };
 
   SlotUse tick_slot_impl(Slot now, std::vector<iodev::Completion>& out);
+  /// L-Sched refresh of the pools whose shadow may have changed since the
+  /// last one (shadow_stale_), for advance().
+  void refresh_stale_shadows();
+  /// shadow_stale_ with every pool's bit set.
+  [[nodiscard]] std::uint64_t all_pools() const {
+    return ~std::uint64_t{0} >> (64 - pools_.size());
+  }
+  /// Executes the sigma* reservations in [from, to) as one block.
+  void run_pchannel(Slot from, Slot to, std::vector<iodev::Completion>& out);
+  /// Delivers a finished R-channel op through the response channel as a
+  /// completion at the end of slot `now`.
+  void complete_rchannel(const ParamSlot& finished, Slot now,
+                         std::vector<iodev::Completion>& out);
   /// Any R-channel work in the system (pending pool entries, backoff
   /// retries, or a partially-executed op): distinguishes stall from
   /// quiescent when a slot goes unused.
@@ -222,6 +254,9 @@ class VirtManager {
   RtTranslator request_translator_;
   RtTranslator response_translator_;
   std::vector<ShadowRegister> shadow_snapshot_;
+  /// Pools (bit = VM index) whose shadow register may differ from
+  /// shadow_snapshot_: set by submissions, completions and ticks.
+  std::uint64_t shadow_stale_ = 0;
   std::vector<JobId> last_exposed_;  ///< per pool, for kShadowExpose edges
   Slot busy_slots_ = 0;
   std::uint64_t runtime_jobs_completed_ = 0;

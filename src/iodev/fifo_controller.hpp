@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "common/jitter.hpp"
 #include "common/types.hpp"
@@ -49,6 +50,20 @@ class FifoController {
 
   /// Advances one slot; returns the completion finishing in this slot, if any.
   std::optional<Completion> tick_slot(Slot now);
+
+  /// Advances the slots [from, to) with no enqueue in between, appending
+  /// completions in slot order; equals tick_slot() on each slot in turn.
+  /// Non-preemptive FIFO service makes every slot up to the head job's
+  /// completion a foregone conclusion, so the head is served in one step.
+  /// With a tap attached (needs_lockstep()) it ticks slot by slot.
+  void advance(Slot from, Slot to, std::vector<Completion>& out);
+
+  /// A fault injector or jitter recorder is attached: their draws and
+  /// samples are ordered across devices, so a bank of controllers must be
+  /// interleaved slot by slot (see advance_all).
+  [[nodiscard]] bool needs_lockstep() const {
+    return injector_ != nullptr || jitter_ != nullptr;
+  }
 
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
   [[nodiscard]] bool busy() const { return current_.has_value(); }
@@ -90,7 +105,9 @@ class FifoController {
     return profile_quiescent_slots_;
   }
 
-  // ---- Event-driven runner support (DESIGN.md §15). ----------------------
+  // ---- Slot-skipping hints (DESIGN.md §15). The trial runner advances
+  // through advance(); these remain for the benchmark harness's layer
+  // replay (perfbench/harness/replay.cpp), which skips idle slots itself.
   /// Earliest slot >= `from` at which ticking could do anything: `from`
   /// while work is queued or in service, kNeverSlot when idle. With a fault
   /// injector attached every slot draws stall RNG, so the hint degenerates
@@ -109,6 +126,9 @@ class FifoController {
     Slot remaining;
   };
 
+  /// Retires the job in service as a completion at the end of slot `now`.
+  Completion finish(Slot now);
+
   std::size_t capacity_;
   Slot dispatch_overhead_;
   std::deque<Request> queue_;
@@ -126,5 +146,33 @@ class FifoController {
   std::uint64_t profile_stall_slots_ = 0;
   std::uint64_t profile_quiescent_slots_ = 0;
 };
+
+/// Completion streams of a bank of devices, one per device, each in slot
+/// order; merge_into() interleaves them the way a lock-step tick of the
+/// devices in index order would have emitted them.
+class CompletionStreams {
+ public:
+  explicit CompletionStreams(std::size_t devices)
+      : streams_(devices), cursor_(devices, 0) {}
+
+  [[nodiscard]] std::vector<Completion>& device(std::size_t d) {
+    return streams_[d];
+  }
+  /// Empties every stream (capacity is kept).
+  void clear();
+  /// Appends every stream to `out` in (completion slot, device) order.
+  void merge_into(std::vector<Completion>& out);
+
+ private:
+  std::vector<std::vector<Completion>> streams_;
+  std::vector<std::size_t> cursor_;
+};
+
+/// Advances a bank of controllers over [from, to) with no enqueue in
+/// between, appending completions in (slot, device) order -- byte-for-byte
+/// what ticking every controller on every slot emits. When any controller
+/// needs_lockstep(), the bank is ticked slot by slot.
+void advance_all(std::vector<FifoController>& fifos, Slot from, Slot to,
+                 CompletionStreams& streams, std::vector<Completion>& out);
 
 }  // namespace ioguard::iodev

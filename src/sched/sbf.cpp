@@ -16,6 +16,10 @@ TableSupply::TableSupply(const TimeSlotTable& table)
         prefix_[static_cast<std::size_t>(i)] +
         (table.is_free(i % h_) ? 1 : 0);
   enum_cache_.assign(static_cast<std::size_t>(h_), kNeverSlot);
+  // Cyclic starts of reserved runs: reserved slots whose predecessor is free.
+  for (Slot s = 0; s < h_; ++s)
+    if (!table.is_free(s) && table.is_free((s + h_ - 1) % h_))
+      run_starts_.push_back(s);
 }
 
 Slot TableSupply::enum_lookup(Slot t) const {
@@ -23,8 +27,16 @@ Slot TableSupply::enum_lookup(Slot t) const {
   if (t == 0) return 0;
   Slot& cached = enum_cache_[static_cast<std::size_t>(t)];
   if (cached != kNeverSlot) return cached;
+  // Shifting a window that starts on a free slot right, or one whose start
+  // follows a reserved slot left, never raises its free count, so some
+  // window starting a reserved run attains the minimum. No runs: the table
+  // is all-free (every window is free) or all-reserved (none is).
+  if (run_starts_.empty()) {
+    cached = f_ == h_ ? t : 0;
+    return cached;
+  }
   Slot best = kNeverSlot;
-  for (Slot s = 0; s < h_; ++s) {
+  for (const Slot s : run_starts_) {
     const Slot got = prefix_[static_cast<std::size_t>(s + t)] -
                      prefix_[static_cast<std::size_t>(s)];
     best = std::min(best, got);

@@ -28,8 +28,9 @@ struct ServerParams {
 };
 
 /// Supply bound function of the repeating table sigma (Eqs. (1)-(2)).
-/// enum(t) rows are computed lazily (O(H) each, memoised) because admission
-/// only touches a bounded set of residues t mod H.
+/// enum(t) rows are computed lazily (memoised) because admission only
+/// touches a bounded set of residues t mod H; each row scans the windows
+/// that start a reserved run, O(runs) rather than O(H).
 class TableSupply {
  public:
   explicit TableSupply(const TimeSlotTable& table);
@@ -52,6 +53,7 @@ class TableSupply {
   Slot f_ = 0;
   std::vector<Slot> prefix_;                  // free-slot prefix sums over 2H
   mutable std::vector<Slot> enum_cache_;      // kNeverSlot = not yet computed
+  std::vector<Slot> run_starts_;              // cyclic reserved-run starts
 };
 
 /// Eq. (3): dbf(Gamma_i, t) = floor(t / Pi_i) * Theta_i.

@@ -324,10 +324,6 @@ TrialResult run_trial(const TrialConfig& config) {
     hyp = std::make_unique<core::Hypervisor>(wl, hc);
     result.admitted = hyp->fully_admitted();
     if (config.trace) hyp->set_tracer(config.trace);
-    // Event-driven mode skips provably-quiescent managers inside tick_slot
-    // too (per-device wake calendar) -- the cursor jump below only helps
-    // when *every* device sleeps at once.
-    if (!config.stepped) hyp->set_slot_skipping(true);
   } else {
     for (std::size_t d = 0; d < workload::kCaseStudyDeviceCount; ++d) {
       fifos.emplace_back(cal.device_fifo_capacity,
@@ -451,6 +447,7 @@ TrialResult run_trial(const TrialConfig& config) {
   vmm_done.reserve(num_vms);
   std::vector<iodev::Completion> completions;
   completions.reserve(workload::kCaseStudyDeviceCount);
+  iodev::CompletionStreams fifo_streams(fifos.size());
   std::size_t next_release = 0;
 
   // Stage timestamps per trace job (kNeverSlot = not reached).
@@ -465,11 +462,12 @@ TrialResult run_trial(const TrialConfig& config) {
       v[id.value] = now;
   };
 
-  // Event-driven advance (DESIGN.md §15): the loop body is stepped exactly as
-  // before, but when everything in flight is provably quiescent the cursor
-  // jumps to the next interesting slot (release, transit arrival, or device
-  // wake hint) and the gap is batch-attributed. `config.stepped` pins the
-  // advance to +1, retaining the slot-stepped loop as the reference oracle.
+  // Event-driven advance (DESIGN.md §15): the loop body runs only at the
+  // runner's decision points -- a release, a transit arrival, or a slot in
+  // which an issue stage or the VMM holds work. The back-end covers each
+  // stretch [now, next) between them in one advance() call. `config.stepped`
+  // pins the stretch to one slot and ticks the back-end directly, retaining
+  // the slot-stepped loop as the reference oracle.
   // IOGUARD_LINT_ALLOW(LNT009: sanctioned stepped-reference main loop)
   for (Slot now = 0; now < horizon;) {
     // (a) releases -> per-VM issue stage (runtime jobs only on I/O-GUARD).
@@ -539,13 +537,32 @@ TrialResult run_trial(const TrialConfig& config) {
       if (!accepted) ++result.dropped;  // overflow: job is lost -> miss
     }
 
-    // (d) device back-ends advance one slot.
+    // (d) the next decision point: releases and arrivals are drained
+    // through `now`, so with the software stages empty nothing reaches the
+    // back-end before the next release or transit arrival.
+    Slot next = now + 1;
+    if (!config.stepped && (!vmm || vmm->idle()) &&
+        std::all_of(issue.begin(), issue.end(),
+                    [](const IssueStage& stage) { return stage.idle(); })) {
+      next = horizon;
+      if (next_release < trace.size())
+        next = std::min(next, trace[next_release].release);
+      if (!transit_q.empty()) next = std::min(next, transit_q.top().arrival);
+    }
+
+    // (e) device back-ends advance through the stretch.
     completions.clear();
-    if (hyp) {
-      hyp->tick_slot(now, completions);
+    if (config.stepped) {
+      if (hyp) {
+        hyp->tick_slot(now, completions);
+      } else {
+        for (auto& f : fifos)
+          if (auto done = f.tick_slot(now)) completions.push_back(*done);
+      }
+    } else if (hyp) {
+      hyp->advance(now, next, completions);
     } else {
-      for (auto& f : fifos)
-        if (auto done = f.tick_slot(now)) completions.push_back(*done);
+      iodev::advance_all(fifos, now, next, fifo_streams, completions);
     }
     for (const auto& done : completions) {
       const Slot finish = done.completed_at + response_transit.sample();
@@ -577,50 +594,10 @@ TrialResult run_trial(const TrialConfig& config) {
       }
     }
 
-    // (e) advance. Default is the next-event jump; it only engages when the
-    // software pipeline is drained (issue stages + VMM idle), so every
-    // skipped slot would have been a provable no-op in the stepped loop:
-    // releases are drained through `now` (a), transit arrivals through `now`
-    // (c), and the back-end wake hints bound the first slot a device could
-    // execute or mutate anything. Skipped slots are batch-attributed as
-    // quiescent so busy + stall + quiescent == horizon still holds exactly.
-    Slot next = now + 1;
-    if (!config.stepped) {
-      bool software_busy = vmm && !vmm->idle();
-      if (!software_busy) {
-        for (const auto& stage : issue) {
-          if (!stage.idle()) {
-            software_busy = true;
-            break;
-          }
-        }
-      }
-      if (!software_busy) {
-        Slot wake = horizon;
-        if (next_release < trace.size())
-          wake = std::min(wake, trace[next_release].release);
-        if (!transit_q.empty()) wake = std::min(wake, transit_q.top().arrival);
-        if (hyp) {
-          wake = std::min(wake, hyp->next_busy_slot(next));
-        } else {
-          for (const auto& f : fifos)
-            wake = std::min(wake, f.next_busy_slot(next));
-        }
-        if (wake > next) {
-          const Slot skipped = std::min(wake, horizon) - next;
-          // In-flight packets keep the transit stage "busy" for the profiler
-          // even across a jump (their composition cannot change in the gap).
-          if (config.collect_profile && !transit_q.empty())
-            transit_busy += skipped;
-          if (hyp) {
-            hyp->note_skipped_slots(skipped);
-          } else {
-            for (auto& f : fifos) f.note_skipped_slots(skipped);
-          }
-          next += skipped;
-        }
-      }
-    }
+    // In-flight packets keep the transit stage "busy" for the profiler
+    // across the stretch (its composition cannot change in between).
+    if (config.collect_profile && !transit_q.empty())
+      transit_busy += next - now - 1;
     now = next;
   }
 
