@@ -234,14 +234,15 @@ Status run(const CliArgs& args) {
   std::cout << "\n\n";
 
   if (args.get_bool("verify")) {
-    // Static preflight (ioguard-verify): refuse to burn trial time on
-    // artifacts the admission theorems cannot vouch for.
+    // Static preflight (ioguard-verify) on the I/O-GUARD artifacts of
+    // trial 0's workload: refuse to burn trial time on artifacts the
+    // admission theorems cannot vouch for.
     workload::CaseStudyConfig vcfg;
     vcfg.num_vms = vms;
     vcfg.target_utilization = util;
     vcfg.preload_fraction = preload;
     vcfg.mixed_criticality = criticality;
-    vcfg.seed = seed_of(0) * 1000003ULL + 17;  // trial-0 workload seed
+    vcfg = trial_workload(vcfg, SystemKind::kIoGuard, seed_of(0)).config;
     auto report = analysis::verify_case_study(vcfg, trials, min_jobs);
     analysis::verify_resilience(plan, resilience, report);
     if (resume) {
@@ -418,10 +419,8 @@ Status run(const CliArgs& args) {
   }
 
   if (!args.get("export-tasks").empty() && trials > 0) {
-    auto wcfg = make_config(0).workload;
-    if (kind != SystemKind::kIoGuard) wcfg.preload_fraction = 0.0;
-    wcfg.seed = seed_of(0) * 1000003ULL + 17;
-    const auto wl = workload::build_case_study(wcfg);
+    const auto wl = workload::build_case_study(
+        trial_workload(make_config(0).workload, kind, seed_of(0)).config);
     AtomicFileWriter out(args.get("export-tasks"));
     workload::write_taskset_csv(out.stream(), wl.tasks);
     IOGUARD_RETURN_IF_ERROR(out.commit());

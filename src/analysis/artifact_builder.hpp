@@ -1,8 +1,9 @@
-// Builds the scheduling artifacts of a case-study experiment the same way
-// core::Hypervisor does at system initialization -- per-device offline Time
-// Slot Table (with demotion of unplaceable pre-defined tasks to the
-// R-channel) plus per-VM server synthesis -- but as plain owned data, so the
-// verifier can inspect (and fault-injection can tamper with) every piece.
+// Collects the scheduling artifacts of a case-study experiment from the
+// design step core::Hypervisor runs at system initialization
+// (core::design_case_study_device: per-device offline Time Slot Table, with
+// demotion of unplaceable pre-defined tasks to the R-channel, plus per-VM
+// server synthesis) as plain owned data, so the verifier can inspect (and
+// fault-injection can tamper with) every piece.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +36,7 @@ struct ExperimentArtifacts {
 /// Derives every device's artifacts for `cfg`. `trials`/`min_jobs` only fill
 /// the ExperimentSpec under CFG verification; they do not affect the build.
 /// `dispatch_overhead_slots` is charged onto every R-channel task's WCET
-/// like core::Hypervisor does (Calibration::dispatch_overhead_slots).
+/// (Calibration::dispatch_overhead_slots, as in core::HypervisorConfig).
 [[nodiscard]] ExperimentArtifacts build_experiment_artifacts(
     const workload::CaseStudyConfig& cfg, std::size_t trials = 1,
     std::size_t min_jobs = 1, Slot dispatch_overhead_slots = 1);

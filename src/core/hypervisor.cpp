@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "workload/automotive.hpp"
@@ -30,7 +31,10 @@ namespace {
 /// Utilization-proportional fallback servers when Theorem 2/4 synthesis
 /// fails (over-utilized configurations the evaluation sweeps through).
 std::vector<sched::ServerParams> fallback_servers(
-    const std::vector<workload::TaskSet>& vm_tasks, double free_bandwidth) {
+    const std::vector<workload::TaskSet>& vm_tasks,
+    const sched::TimeSlotTable& table) {
+  const double free_bandwidth = static_cast<double>(table.free_slots()) /
+                                static_cast<double>(table.hyperperiod());
   std::vector<sched::ServerParams> servers;
   servers.reserve(vm_tasks.size());
   double total_u = 0.0;
@@ -53,6 +57,50 @@ std::vector<sched::ServerParams> fallback_servers(
 }
 
 }  // namespace
+
+CaseStudyDevice design_case_study_device(const workload::CaseStudyWorkload& wl,
+                                         DeviceId device, std::size_t num_vms,
+                                         Slot dispatch_overhead_slots) {
+  auto predefined = wl.predefined().filter_device(device);
+  workload::TaskSet demoted;
+  auto build = sched::build_time_slot_table(predefined);
+  std::string table_failure = build.feasible ? "" : build.failure;
+  while (!build.feasible && !predefined.empty()) {
+    std::vector<workload::IoTaskSpec> remaining = predefined.tasks();
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < remaining.size(); ++i) {
+      const auto key = [](const workload::IoTaskSpec& t) {
+        return std::make_pair(static_cast<int>(t.cls), t.utilization());
+      };
+      if (key(remaining[i]) > key(remaining[victim])) victim = i;
+    }
+    workload::IoTaskSpec moved = remaining[victim];
+    moved.kind = workload::TaskKind::kRuntime;
+    demoted.add(std::move(moved));
+    remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(victim));
+    predefined = workload::TaskSet(std::move(remaining));
+    build = sched::build_time_slot_table(predefined);
+  }
+  IOGUARD_CHECK_MSG(build.feasible, "empty table must be feasible");
+
+  auto runtime = wl.runtime().filter_device(device);
+  for (const auto& t : demoted.tasks()) runtime.add(t);
+  std::vector<workload::TaskSet> vm_tasks;
+  vm_tasks.reserve(num_vms);
+  for (std::size_t v = 0; v < num_vms; ++v) {
+    workload::TaskSet charged;
+    const auto vm_set = runtime.filter_vm(VmId{static_cast<std::uint32_t>(v)});
+    for (auto t : vm_set.tasks()) {
+      t.wcet = std::min(t.deadline, t.wcet + dispatch_overhead_slots);
+      charged.add(std::move(t));
+    }
+    vm_tasks.push_back(std::move(charged));
+  }
+  auto system = sched::design_system(sched::TableSupply(build.table), vm_tasks);
+  return CaseStudyDevice{std::move(predefined),    std::move(build.table),
+                         std::move(table_failure), std::move(demoted),
+                         std::move(vm_tasks),      std::move(system)};
+}
 
 Hypervisor::Hypervisor(const workload::CaseStudyWorkload& wl,
                        const HypervisorConfig& config)
@@ -82,78 +130,37 @@ Hypervisor::Hypervisor(const workload::CaseStudyWorkload& wl,
 
   for (std::size_t d = 0; d < n_dev; ++d) {
     const DeviceId dev{static_cast<std::uint32_t>(d)};
+    CaseStudyDevice built = design_case_study_device(
+        wl, dev, config.num_vms, config.dispatch_overhead_slots);
     DeviceDesign design;
     design.device = dev;
     design.spec = case_study_device_spec(dev);
-
-    // 1. Offline Time Slot Table for this device's pre-defined tasks. When
-    //    placement fails (e.g. pre-defined utilization pushed past what the
-    //    table can hold), the least-critical pre-defined tasks are demoted
-    //    to the R-channel one by one until the remainder fits -- a designer
-    //    would do exactly this at integration time.
-    auto predefined = wl.predefined().filter_device(dev);
-    workload::TaskSet demoted;
-    auto build = sched::build_time_slot_table(predefined);
-    design.table_feasible = build.feasible;
-    while (!build.feasible && !predefined.empty()) {
-      if (design.note.empty())
-        design.note = "slot table: " + build.failure + " (demoted:";
-      // Demote the least critical, largest-demand task first.
-      std::vector<workload::IoTaskSpec> remaining = predefined.tasks();
-      std::size_t victim = 0;
-      for (std::size_t i = 1; i < remaining.size(); ++i) {
-        const auto key = [](const workload::IoTaskSpec& t) {
-          return std::make_pair(static_cast<int>(t.cls), t.utilization());
-        };
-        if (key(remaining[i]) > key(remaining[victim])) victim = i;
+    design.table_feasible = built.demoted.empty();
+    if (!design.table_feasible) {
+      design.note = "slot table: " + built.table_failure + " (demoted:";
+      for (const auto& t : built.demoted.tasks()) {
+        design.note += " " + t.name;
+        demotions_.push_back(Demotion{dev, t.vm, t.id});
       }
-      workload::IoTaskSpec moved = remaining[victim];
-      moved.kind = workload::TaskKind::kRuntime;
-      design.note += " " + moved.name;
-      demotions_.push_back(Demotion{dev, moved.vm, moved.id});
-      demoted.add(moved);
-      remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(victim));
-      predefined = workload::TaskSet(std::move(remaining));
-      build = sched::build_time_slot_table(predefined);
+      design.note += ")";
     }
-    if (!design.note.empty()) design.note += ")";
-    IOGUARD_CHECK_MSG(build.feasible, "empty table must be feasible");
-    for (const auto& t : predefined.tasks()) {
+    for (const auto& t : built.predefined.tasks()) {
       if (t.id.value >= pchannel_tasks_.size())
         pchannel_tasks_.resize(t.id.value + 1, 0);
       pchannel_tasks_[t.id.value] = 1;
     }
-    design.hyperperiod = build.table.hyperperiod();
-    design.free_slots = build.table.free_slots();
+    design.hyperperiod = built.table.hyperperiod();
+    design.free_slots = built.table.free_slots();
 
-    // 2. Periodic servers for the run-time tasks (plus any demoted
-    //    pre-defined tasks), per VM.
-    auto runtime = wl.runtime().filter_device(dev);
-    for (const auto& t : demoted.tasks()) runtime.add(t);
-    // The analysis must see what the hardware executes: every job carries
-    // the per-job dispatch overhead on top of its payload demand.
-    std::vector<workload::TaskSet> vm_tasks;
-    vm_tasks.reserve(config.num_vms);
-    for (std::size_t v = 0; v < config.num_vms; ++v) {
-      workload::TaskSet charged;
-      const auto vm_set =
-          runtime.filter_vm(VmId{static_cast<std::uint32_t>(v)});
-      for (auto t : vm_set.tasks()) {
-        t.wcet = std::min(t.deadline, t.wcet + config.dispatch_overhead_slots);
-        charged.add(std::move(t));
-      }
-      vm_tasks.push_back(std::move(charged));
-    }
-
-    sched::TableSupply supply(build.table);
-    auto sys = sched::design_system(supply, vm_tasks, config.server_design);
-    design.servers_feasible = sys.feasible;
-    if (sys.feasible) {
-      design.servers = sys.servers;
+    // Infeasible server designs run on fallback budgets: the hardware still
+    // runs, the analysis just gives no guarantee.
+    design.servers_feasible = built.system.feasible;
+    if (built.system.feasible) {
+      design.servers = built.system.servers;
     } else {
-      design.servers = fallback_servers(vm_tasks, supply.bandwidth());
+      design.servers = fallback_servers(built.vm_tasks, built.table);
       if (!design.note.empty()) design.note += "; ";
-      design.note += "servers: " + sys.reason + " (fallback budgets)";
+      design.note += "servers: " + built.system.reason + " (fallback budgets)";
     }
 
     VManagerConfig mc;
@@ -168,7 +175,8 @@ Hypervisor::Hypervisor(const workload::CaseStudyWorkload& wl,
     mc.mode = mode_.get();
     mc.hi_tasks = mode_ != nullptr ? &hi_tasks_ : nullptr;
     managers_.push_back(std::make_unique<VirtManager>(
-        design.spec, predefined, build.table, design.servers, mc));
+        design.spec, std::move(built.predefined), std::move(built.table),
+        design.servers, mc));
     designs_.push_back(std::move(design));
   }
 }
@@ -363,61 +371,6 @@ std::uint64_t Hypervisor::watchdog_aborts() const {
 std::uint64_t Hypervisor::retries_scheduled() const {
   std::uint64_t total = 0;
   for (const auto& m : managers_) total += m->retries_scheduled();
-  return total;
-}
-
-std::uint64_t Hypervisor::retries_exhausted() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->retries_exhausted();
-  return total;
-}
-
-std::uint32_t Hypervisor::max_retry_attempt() const {
-  std::uint32_t worst = 0;
-  for (const auto& m : managers_)
-    worst = std::max(worst, m->max_retry_attempt());
-  return worst;
-}
-
-std::uint64_t Hypervisor::jobs_shed() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->jobs_shed();
-  return total;
-}
-
-std::uint64_t Hypervisor::frame_faults() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->frame_faults();
-  return total;
-}
-
-std::uint64_t Hypervisor::stalled_slots() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->stalled_slots();
-  return total;
-}
-
-std::uint64_t Hypervisor::spurious_irq_slots() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->spurious_irq_slots();
-  return total;
-}
-
-std::size_t Hypervisor::degraded_vms() const {
-  std::size_t total = 0;
-  for (const auto& m : managers_) total += m->degraded_vms();
-  return total;
-}
-
-std::uint64_t Hypervisor::lo_mode_rejected() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->lo_mode_rejected();
-  return total;
-}
-
-std::uint64_t Hypervisor::mode_jobs_shed() const {
-  std::uint64_t total = 0;
-  for (const auto& m : managers_) total += m->mode_jobs_shed();
   return total;
 }
 

@@ -32,12 +32,36 @@ struct DeviceDesign {
   std::string note;
 };
 
+/// One case-study device as designed at integration time: the offline Time
+/// Slot Table of the pre-defined tasks, the pre-defined tasks demoted to the
+/// R-channel because the table could not place them, the per-VM R-channel
+/// task sets, and the Theorem 2/4 server design over the table's supply.
+/// The Hypervisor executes these artifacts and the static verifier
+/// (analysis::build_experiment_artifacts) checks the very same ones.
+struct CaseStudyDevice {
+  workload::TaskSet predefined;  ///< the tasks the P-channel keeps
+  sched::TimeSlotTable table;    ///< feasible placement of `predefined`
+  std::string table_failure;     ///< why the first placement failed, if it did
+  workload::TaskSet demoted;     ///< in demotion order, kind = kRuntime
+  /// Per VM, run-time plus demoted tasks with every job charged the
+  /// dispatch overhead: the analysis sees what the hardware executes.
+  std::vector<workload::TaskSet> vm_tasks;
+  sched::SystemDesign system;  ///< design_system() over the table supply
+};
+
+/// Designs `device` of `wl` for `num_vms` VMs. When the table cannot place
+/// every pre-defined task, the least critical, largest-demand one is demoted
+/// to the R-channel, one at a time, until the remainder fits -- what a
+/// designer would do at integration time.
+[[nodiscard]] CaseStudyDevice design_case_study_device(
+    const workload::CaseStudyWorkload& wl, DeviceId device,
+    std::size_t num_vms, Slot dispatch_overhead_slots);
+
 struct HypervisorConfig {
   std::size_t num_vms = 4;
   std::size_t pool_capacity = 16;
   GschedPolicy policy = GschedPolicy::kServerEdf;
   TranslatorConfig translator;
-  sched::ServerDesignConfig server_design;
   /// Per-job device occupancy of translation/controller setup.
   Slot dispatch_overhead_slots = 1;
   /// Optional fault injection (not owned; nullptr = fault-free baseline).
@@ -106,18 +130,10 @@ class Hypervisor {
   /// True when every device's table and servers passed admission.
   [[nodiscard]] bool fully_admitted() const;
 
+  // ---- Sums over the device managers (per-manager counters: manager()) ---
   [[nodiscard]] std::uint64_t dropped_jobs() const;
-
-  // ---- Aggregate fault/resilience counters across all device managers ----
   [[nodiscard]] std::uint64_t watchdog_aborts() const;
   [[nodiscard]] std::uint64_t retries_scheduled() const;
-  [[nodiscard]] std::uint64_t retries_exhausted() const;
-  [[nodiscard]] std::uint32_t max_retry_attempt() const;
-  [[nodiscard]] std::uint64_t jobs_shed() const;
-  [[nodiscard]] std::uint64_t frame_faults() const;
-  [[nodiscard]] std::uint64_t stalled_slots() const;
-  [[nodiscard]] std::uint64_t spurious_irq_slots() const;
-  [[nodiscard]] std::size_t degraded_vms() const;
 
   // ---- Mixed-criticality mode switching (DESIGN.md §17) ------------------
   /// The block's mode controller; nullptr when mode switching is disabled.
@@ -128,10 +144,6 @@ class Hypervisor {
   [[nodiscard]] bool hi_criticality_task(TaskId task) const {
     return task.value < hi_tasks_.size() && hi_tasks_[task.value] != 0;
   }
-  /// LO submissions rejected while their VM was HI, across all devices.
-  [[nodiscard]] std::uint64_t lo_mode_rejected() const;
-  /// LO jobs shed by mode switches, across all devices.
-  [[nodiscard]] std::uint64_t mode_jobs_shed() const;
 
   /// Attaches one trace buffer to every device manager (not owned). Design
   /// decisions taken at init (P-channel -> R-channel demotions) are replayed

@@ -8,6 +8,7 @@
 #include "core/hypervisor.hpp"
 #include "iodev/fifo_controller.hpp"
 #include "noc/mesh.hpp"
+#include "system/runner.hpp"
 #include "system/stages.hpp"
 #include "workload/arrivals.hpp"
 
@@ -15,14 +16,14 @@ namespace ioguard::sys {
 
 CosimResult run_cosim(const CosimConfig& config) {
   // ---- Workload (same builder as the analytic runner). -------------------
-  workload::CaseStudyConfig wl_cfg = config.workload;
-  if (config.kind != SystemKind::kIoGuard) wl_cfg.preload_fraction = 0.0;
-  wl_cfg.seed = config.seed * 1000003ULL + 17;
+  const TrialWorkload seeded =
+      trial_workload(config.workload, config.kind, config.seed);
+  const workload::CaseStudyConfig& wl_cfg = seeded.config;
   const auto wl = workload::build_case_study(wl_cfg);
 
   workload::ArrivalConfig arr;
   arr.horizon = config.horizon_slots;
-  arr.seed = config.seed * 2654435761ULL + 99;
+  arr.seed = seeded.arrival_seed;
   const auto trace = workload::generate_trace(wl.tasks, arr);
 
   std::vector<workload::TaskClass> task_class(wl.tasks.size());

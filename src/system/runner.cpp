@@ -32,17 +32,6 @@ struct ArriveLater {
   }
 };
 
-/// Per-trace-job bookkeeping for miss accounting.
-struct Outcome {
-  Slot deadline = 0;
-  bool counted = false;    ///< deadline falls inside the horizon
-  bool critical = false;   ///< safety or function class
-  bool hi = false;         ///< HI-criticality task (mixed-criticality runs)
-  bool on_time = false;
-  std::uint32_t payload = 0;
-  std::uint32_t task = 0;
-};
-
 /// End-of-trial export into the caller's MetricsRegistry. Counters add up
 /// across trials sharing one registry; gauges keep the last trial's value.
 /// Fault/resilience metric block; called only when an injector was active,
@@ -248,11 +237,18 @@ StatusOr<TrialConfig> TrialConfig::validated(TrialConfig raw) {
   return raw;
 }
 
+TrialWorkload trial_workload(workload::CaseStudyConfig base, SystemKind kind,
+                             std::uint64_t trial_seed) {
+  if (kind != SystemKind::kIoGuard) base.preload_fraction = 0.0;
+  base.seed = trial_seed * 1000003ULL + 17;
+  return TrialWorkload{std::move(base), trial_seed * 2654435761ULL + 99};
+}
+
 TrialResult run_trial(const TrialConfig& config) {
   // ---- 1. Build the workload and the release trace. ----------------------
-  workload::CaseStudyConfig wl_cfg = config.workload;
-  if (config.kind != SystemKind::kIoGuard) wl_cfg.preload_fraction = 0.0;
-  wl_cfg.seed = config.trial_seed * 1000003ULL + 17;
+  const TrialWorkload seeded =
+      trial_workload(config.workload, config.kind, config.trial_seed);
+  const workload::CaseStudyConfig& wl_cfg = seeded.config;
   const auto wl = workload::build_case_study(wl_cfg);
 
   TrialResult result;
@@ -264,16 +260,14 @@ TrialResult run_trial(const TrialConfig& config) {
 
   workload::ArrivalConfig arr;
   arr.horizon = horizon;
-  arr.seed = config.trial_seed * 2654435761ULL + 99;
+  arr.seed = seeded.arrival_seed;
   const auto trace = workload::generate_trace(wl.tasks, arr);
 
   // Task class lookup (task ids are dense).
   std::vector<workload::TaskClass> task_class(wl.tasks.size());
-  std::vector<workload::TaskKind> task_kind(wl.tasks.size());
   std::vector<std::uint8_t> task_hi(wl.tasks.size(), 0);
   for (const auto& t : wl.tasks.tasks()) {
     task_class[t.id.value] = t.cls;
-    task_kind[t.id.value] = t.kind;
     task_hi[t.id.value] = t.hi_criticality() ? 1 : 0;
   }
   auto is_critical = [&](TaskId id) {
@@ -375,64 +369,72 @@ TrialResult run_trial(const TrialConfig& config) {
   std::uint64_t transit_busy = 0;
   if (config.collect_profile) issue_busy.assign(num_vms, 0);
 
-  // ---- 3. Miss accounting setup. ------------------------------------------
-  std::vector<Outcome> outcomes(trace.size());
-  // Dense per-task miss counters (task ids are dense); compacted into
-  // result.misses_by_task at tally so the hot path never touches a map.
+  // ---- 3. Job ledger. ------------------------------------------------------
+  // Every counted job is tallied exactly once: a P-channel job as it
+  // completes (the Time Slot Table releases it under a synthetic id; its
+  // task's trace entries are never submitted), a trace job -- run-time or
+  // demoted pre-defined -- at the horizon, from whether its completion met
+  // the deadline. Per-task miss counters are dense (task ids are dense) and
+  // compacted into result.misses_by_task at the end.
   std::vector<std::uint32_t> miss_counts(wl.tasks.size(), 0);
   std::uint64_t bytes_on_time = 0;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& j = trace[i];
-    // Tasks the P-channel actually owns execute from the Time Slot Table and
-    // emit their own completions; their trace entries are skipped entirely.
-    // (Pre-defined tasks the hypervisor demoted flow through the R-channel
-    // like run-time jobs.)
-    const bool pchannel_job = hyp && hyp->pchannel_task(j.task);
-    outcomes[i].deadline = j.absolute_deadline;
-    outcomes[i].counted = !pchannel_job && j.absolute_deadline <= horizon;
-    outcomes[i].critical = is_critical(j.task);
-    outcomes[i].hi = is_hi(j.task);
-    outcomes[i].payload = j.payload_bytes;
-    outcomes[i].task = j.task.value;
-  }
+  auto tally = [&](TaskId task, bool on_time, std::uint32_t payload) {
+    ++result.jobs_counted;
+    if (on_time) {
+      ++result.jobs_on_time;
+      bytes_on_time += payload;
+      return;
+    }
+    ++result.misses;
+    ++miss_counts[task.value];
+    if (is_critical(task)) ++result.critical_misses;
+    if (is_hi(task)) ++result.mcs.hi_misses;
+  };
+  std::vector<std::uint8_t> trace_on_time(trace.size(), 0);
 
-  auto record_completion = [&](const iodev::Completion& done, Slot finish) {
-    if (done.job.id.value < outcomes.size() &&
-        config.kind != SystemKind::kIoGuard) {
-      Outcome& o = outcomes[done.job.id.value];
-      if (o.counted && finish <= o.deadline) {
-        o.on_time = true;
-        bytes_on_time += o.payload;
-      }
-    } else if (config.kind == SystemKind::kIoGuard) {
-      // Runtime jobs carry trace ids; P-channel jobs carry synthetic ids but
-      // are distinguished by their owning channel.
-      const bool pchannel_job = hyp->pchannel_task(done.job.task);
-      if (pchannel_job) {
-        if (done.job.absolute_deadline <= horizon) {
-          ++result.jobs_counted;
-          if (finish <= done.job.absolute_deadline) {
-            ++result.jobs_on_time;
-            bytes_on_time += done.job.payload_bytes;
-          } else {
-            ++result.misses;
-            ++miss_counts[done.job.task.value];
-            if (is_critical(done.job.task)) ++result.critical_misses;
-            if (is_hi(done.job.task)) ++result.mcs.hi_misses;
-          }
-        }
-      } else if (done.job.id.value < outcomes.size()) {
-        Outcome& o = outcomes[done.job.id.value];
-        if (o.counted && finish <= o.deadline) {
-          o.on_time = true;
-          bytes_on_time += o.payload;
-        }
-      }
-      if (config.collect_response_times &&
-          is_critical(done.job.task)) {
-        result.response_slots.add(
-            static_cast<double>(finish - done.job.release));
-      }
+  // Stage timestamps per trace job (kNeverSlot = not reached).
+  std::vector<Slot> t_issue, t_vmm, t_arrive;
+  if (config.collect_stage_latencies) {
+    t_issue.assign(trace.size(), kNeverSlot);
+    t_vmm.assign(trace.size(), kNeverSlot);
+    t_arrive.assign(trace.size(), kNeverSlot);
+  }
+  auto stamp = [&](std::vector<Slot>& v, JobId id, Slot now) {
+    if (config.collect_stage_latencies && id.value < v.size())
+      v[id.value] = now;
+  };
+
+  // The one completion path, for every system: the response crosses the
+  // transit link, then the job's deadline outcome, response time and stage
+  // latencies are recorded.
+  auto complete = [&](const iodev::Completion& done) {
+    const workload::Job& job = done.job;
+    const Slot finish = done.completed_at + response_transit.sample();
+    if (hyp && hyp->pchannel_task(job.task)) {
+      if (job.absolute_deadline <= horizon)
+        tally(job.task, finish <= job.absolute_deadline, job.payload_bytes);
+    } else if (job.id.value < trace.size() &&
+               finish <= trace[job.id.value].absolute_deadline) {
+      trace_on_time[job.id.value] = 1;
+    }
+    if (!is_critical(job.task)) return;
+    if (config.collect_response_times)
+      result.response_slots.add(static_cast<double>(finish - job.release));
+    const auto id = job.id.value;
+    if (!config.collect_stage_latencies || id >= t_issue.size() ||
+        t_issue[id] == kNeverSlot)
+      return;
+    const Slot issued_at = t_issue[id];
+    result.stage_issue.add(static_cast<double>(issued_at - job.release));
+    Slot after_sw = issued_at;
+    if (vmm && t_vmm[id] != kNeverSlot) {
+      result.stage_vmm.add(static_cast<double>(t_vmm[id] - issued_at));
+      after_sw = t_vmm[id];
+    }
+    if (t_arrive[id] != kNeverSlot) {
+      result.stage_transit.add(static_cast<double>(t_arrive[id] - after_sw));
+      result.stage_backend.add(
+          static_cast<double>(done.completed_at - t_arrive[id]));
     }
   };
 
@@ -449,18 +451,6 @@ TrialResult run_trial(const TrialConfig& config) {
   completions.reserve(workload::kCaseStudyDeviceCount);
   iodev::CompletionStreams fifo_streams(fifos.size());
   std::size_t next_release = 0;
-
-  // Stage timestamps per trace job (kNeverSlot = not reached).
-  std::vector<Slot> t_issue, t_vmm, t_arrive;
-  if (config.collect_stage_latencies) {
-    t_issue.assign(trace.size(), kNeverSlot);
-    t_vmm.assign(trace.size(), kNeverSlot);
-    t_arrive.assign(trace.size(), kNeverSlot);
-  }
-  auto stamp = [&](std::vector<Slot>& v, JobId id, Slot now) {
-    if (config.collect_stage_latencies && id.value < v.size())
-      v[id.value] = now;
-  };
 
   // Event-driven advance (DESIGN.md §15): the loop body runs only at the
   // runner's decision points -- a release, a transit arrival, or a slot in
@@ -564,35 +554,7 @@ TrialResult run_trial(const TrialConfig& config) {
     } else {
       iodev::advance_all(fifos, now, next, fifo_streams, completions);
     }
-    for (const auto& done : completions) {
-      const Slot finish = done.completed_at + response_transit.sample();
-      record_completion(done, finish);
-      if (config.collect_stage_latencies &&
-          done.job.id.value < t_issue.size() &&
-          is_critical(done.job.task) &&
-          t_issue[done.job.id.value] != kNeverSlot) {
-        const auto id = done.job.id.value;
-        const Slot issued_at = t_issue[id];
-        result.stage_issue.add(
-            static_cast<double>(issued_at - done.job.release));
-        Slot after_sw = issued_at;
-        if (vmm && t_vmm[id] != kNeverSlot) {
-          result.stage_vmm.add(static_cast<double>(t_vmm[id] - issued_at));
-          after_sw = t_vmm[id];
-        }
-        if (t_arrive[id] != kNeverSlot) {
-          result.stage_transit.add(
-              static_cast<double>(t_arrive[id] - after_sw));
-          result.stage_backend.add(
-              static_cast<double>(done.completed_at - t_arrive[id]));
-        }
-      }
-      if (config.collect_response_times && config.kind != SystemKind::kIoGuard &&
-          is_critical(done.job.task)) {
-        result.response_slots.add(
-            static_cast<double>(finish - done.job.release));
-      }
-    }
+    for (const auto& done : completions) complete(done);
 
     // In-flight packets keep the transit stage "busy" for the profiler
     // across the stretch (its composition cannot change in between).
@@ -601,18 +563,11 @@ TrialResult run_trial(const TrialConfig& config) {
     now = next;
   }
 
-  // ---- 5. Tally. -----------------------------------------------------------
-  for (const auto& o : outcomes) {
-    if (!o.counted) continue;
-    ++result.jobs_counted;
-    if (o.on_time) {
-      ++result.jobs_on_time;
-    } else {
-      ++result.misses;
-      ++miss_counts[o.task];
-      if (o.critical) ++result.critical_misses;
-      if (o.hi) ++result.mcs.hi_misses;
-    }
+  // ---- 5. Tally and harvest. ----------------------------------------------
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto& j = trace[i];
+    if (j.absolute_deadline <= horizon && !(hyp && hyp->pchannel_task(j.task)))
+      tally(j.task, trace_on_time[i] != 0, j.payload_bytes);
   }
   for (std::uint32_t task = 0; task < miss_counts.size(); ++task)
     if (miss_counts[task] > 0)
@@ -621,35 +576,39 @@ TrialResult run_trial(const TrialConfig& config) {
       cycles_to_seconds(slots_to_cycles(horizon, cal.cycles_per_slot));
   result.goodput_bytes_per_s = static_cast<double>(bytes_on_time) / seconds;
 
+  // Per-device counters, summed over the back-ends.
   Slot busy = 0;
   const std::size_t n_dev = workload::kCaseStudyDeviceCount;
+  FaultCounters& fc = result.faults;
   if (hyp) {
-    for (std::size_t d = 0; d < n_dev; ++d)
-      busy += hyp->manager(DeviceId{static_cast<std::uint32_t>(d)}).busy_slots();
+    for (std::size_t d = 0; d < n_dev; ++d) {
+      const auto& m = hyp->manager(DeviceId{static_cast<std::uint32_t>(d)});
+      busy += m.busy_slots();
+      result.mcs.lo_jobs_shed += m.mode_jobs_shed();
+      result.mcs.lo_rejected += m.lo_mode_rejected();
+      if (!injector) continue;
+      fc.watchdog_aborts += m.watchdog_aborts();
+      fc.retries += m.retries_scheduled();
+      fc.retries_exhausted += m.retries_exhausted();
+      fc.max_retry_attempt = std::max(fc.max_retry_attempt,
+                                      m.max_retry_attempt());
+      fc.jobs_shed += m.jobs_shed();
+      fc.degraded_vms += m.degraded_vms();
+      fc.frame_faults += m.frame_faults();
+      fc.stalled_slots += m.stalled_slots();
+      fc.spurious_irq_slots += m.spurious_irq_slots();
+    }
   } else {
-    for (const auto& f : fifos) busy += f.busy_slots();
+    for (const auto& f : fifos) {
+      busy += f.busy_slots();
+      if (!injector) continue;
+      fc.fifo_frames_lost += f.frames_lost();
+      fc.fifo_stalled_slots += f.stalled_slots();
+    }
   }
   result.device_busy_frac = static_cast<double>(busy) /
                             static_cast<double>(horizon * n_dev);
-
-  if (injector) {
-    result.faults.injected_total = injector->total_injected();
-    if (hyp) {
-      result.faults.watchdog_aborts = hyp->watchdog_aborts();
-      result.faults.retries = hyp->retries_scheduled();
-      result.faults.retries_exhausted = hyp->retries_exhausted();
-      result.faults.max_retry_attempt = hyp->max_retry_attempt();
-      result.faults.jobs_shed = hyp->jobs_shed();
-      result.faults.degraded_vms = hyp->degraded_vms();
-      result.faults.frame_faults = hyp->frame_faults();
-      result.faults.stalled_slots = hyp->stalled_slots();
-      result.faults.spurious_irq_slots = hyp->spurious_irq_slots();
-    }
-    for (const auto& f : fifos) {
-      result.faults.fifo_frames_lost += f.frames_lost();
-      result.faults.fifo_stalled_slots += f.stalled_slots();
-    }
-  }
+  if (injector) fc.injected_total = injector->total_injected();
 
   // Mixed-criticality harvest (DESIGN.md §17); the controller exists only
   // when the feature was enabled on an I/O-GUARD trial.
@@ -659,8 +618,6 @@ TrialResult run_trial(const TrialConfig& config) {
     result.mcs.recoveries = mc.recoveries();
     result.mcs.propagated = mc.propagated_switches();
     result.mcs.overruns_observed = mc.overruns_observed();
-    result.mcs.lo_jobs_shed = hyp->mode_jobs_shed();
-    result.mcs.lo_rejected = hyp->lo_mode_rejected();
     result.mcs.hi_vms_at_end = mc.hi_vms();
     for (const Slot latency : mc.switch_latencies())
       result.mcs.switch_latency_slots.add(static_cast<double>(latency));

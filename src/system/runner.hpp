@@ -186,6 +186,19 @@ struct TrialResult {
   [[nodiscard]] bool success() const { return critical_misses == 0; }
 };
 
+/// What a trial draws from its seed: the case-study config, reseeded and
+/// without pre-defined tasks on the FIFO baselines (they have no P-channel),
+/// and the seed of its arrival trace. Every path that rebuilds a trial's
+/// workload (run_trial, run_cosim, ioguard_cli's --verify/--export-tasks)
+/// derives it here.
+struct TrialWorkload {
+  workload::CaseStudyConfig config;
+  std::uint64_t arrival_seed = 0;
+};
+[[nodiscard]] TrialWorkload trial_workload(workload::CaseStudyConfig base,
+                                           SystemKind kind,
+                                           std::uint64_t trial_seed);
+
 /// Runs one trial. Deterministic in (config).
 TrialResult run_trial(const TrialConfig& config);
 

@@ -5,8 +5,11 @@
 // ServerParams / task sets, and injected supply functions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/artifact_builder.hpp"
@@ -16,9 +19,11 @@
 #include "analysis/verify_servers.hpp"
 #include "analysis/verify_supply.hpp"
 #include "analysis/verify_table.hpp"
+#include "core/hypervisor.hpp"
 #include "sched/admission.hpp"
 #include "sched/sbf.hpp"
 #include "sched/slot_table.hpp"
+#include "system/config.hpp"
 #include "task_builders.hpp"
 #include "workload/generator.hpp"
 
@@ -465,6 +470,112 @@ TEST(ArtifactBuilder, CorruptedCaseStudyFailsSystemVerification) {
     return;
   }
   ADD_FAILURE() << "no device table held a reserved slot";
+}
+
+// ---- the verifier checks what the Hypervisor executes ----------------------
+
+/// (vms, util, preload) of one agreement case.
+using DesignPoint = std::tuple<std::size_t, double, double>;
+
+workload::CaseStudyConfig design_point_config(const DesignPoint& p) {
+  workload::CaseStudyConfig cfg;
+  std::tie(cfg.num_vms, cfg.target_utilization, cfg.preload_fraction) = p;
+  cfg.seed = 11;
+  return cfg;
+}
+
+core::Hypervisor case_study_hypervisor(const workload::CaseStudyWorkload& wl,
+                                       std::size_t num_vms) {
+  core::HypervisorConfig hc;
+  hc.num_vms = num_vms;
+  hc.dispatch_overhead_slots = sys::Calibration{}.dispatch_overhead_slots;
+  return core::Hypervisor(wl, hc);
+}
+
+class DesignAgreement : public ::testing::TestWithParam<DesignPoint> {};
+
+// Per device, the artifacts ioguard_verify checks are the ones the
+// Hypervisor runs: same table, P-channel task set, demotions and (when the
+// design is feasible) servers.
+TEST_P(DesignAgreement, VerifierArtifactsMatchHypervisorDesign) {
+  const auto cfg = design_point_config(GetParam());
+  const auto wl = workload::build_case_study(cfg);
+  const core::Hypervisor hyp = case_study_hypervisor(wl, cfg.num_vms);
+  const auto a = build_experiment_artifacts(
+      cfg, 1, 1, sys::Calibration{}.dispatch_overhead_slots);
+  ASSERT_EQ(hyp.designs().size(), a.tables.size());
+  for (std::size_t d = 0; d < a.tables.size(); ++d) {
+    SCOPED_TRACE("device " + std::to_string(d));
+    const core::DeviceDesign& design = hyp.designs()[d];
+    EXPECT_EQ(design.hyperperiod, a.tables[d].hyperperiod());
+    EXPECT_EQ(design.free_slots, a.tables[d].free_slots());
+
+    std::set<std::uint32_t> kept;
+    for (const auto& t : a.predefined[d].tasks()) {
+      EXPECT_TRUE(hyp.pchannel_task(t.id)) << t.name;
+      kept.insert(t.id.value);
+    }
+    std::set<std::uint32_t> demoted_by_verifier;
+    const auto predefined = wl.predefined().filter_device(
+        DeviceId{static_cast<std::uint32_t>(d)});
+    for (const auto& t : predefined.tasks())
+      if (kept.count(t.id.value) == 0)
+        demoted_by_verifier.insert(t.id.value);
+    std::set<std::uint32_t> demoted_by_hypervisor;
+    for (const auto& dm : hyp.demotions())
+      if (dm.device.value == d) demoted_by_hypervisor.insert(dm.task.value);
+    EXPECT_EQ(demoted_by_verifier, demoted_by_hypervisor);
+    for (const auto id : demoted_by_hypervisor)
+      EXPECT_FALSE(hyp.pchannel_task(TaskId{id}));
+
+    ASSERT_EQ(a.vm_tasks[d].size(), cfg.num_vms);
+    if (!design.servers_feasible) continue;
+    ASSERT_EQ(design.servers.size(), a.servers[d].size());
+    for (std::size_t v = 0; v < design.servers.size(); ++v) {
+      EXPECT_EQ(design.servers[v].pi, a.servers[d][v].pi) << "vm " << v;
+      EXPECT_EQ(design.servers[v].theta, a.servers[d][v].theta) << "vm " << v;
+    }
+  }
+}
+
+const std::vector<std::size_t> kAgreementVms = {2, 4, 8, 16};
+const std::vector<double> kAgreementUtil = {0.3, 0.7, 1.0};
+const std::vector<double> kAgreementPreload = {0.0, 0.7, 1.0};
+
+INSTANTIATE_TEST_SUITE_P(
+    CaseStudyGrid, DesignAgreement,
+    ::testing::Combine(::testing::ValuesIn(kAgreementVms),
+                       ::testing::ValuesIn(kAgreementUtil),
+                       ::testing::ValuesIn(kAgreementPreload)),
+    [](const ::testing::TestParamInfo<DesignPoint>& info) {
+      const auto pct = [](double x) {
+        return std::to_string(static_cast<int>(x * 100.0 + 0.5));
+      };
+      return "vms" + std::to_string(std::get<0>(info.param)) + "_util" +
+             pct(std::get<1>(info.param)) + "_preload" +
+             pct(std::get<2>(info.param));
+    });
+
+// The grid above is not vacuous: it holds designs that demote pre-defined
+// tasks and designs whose servers are infeasible (fallback budgets).
+TEST(DesignAgreementGrid, CoversDemotionsAndInfeasibleServers) {
+  std::size_t demoting = 0;
+  std::size_t infeasible = 0;
+  for (const auto vms : kAgreementVms)
+    for (const auto util : kAgreementUtil)
+      for (const auto preload : kAgreementPreload) {
+        const auto cfg = design_point_config({vms, util, preload});
+        const auto hyp =
+            case_study_hypervisor(workload::build_case_study(cfg), vms);
+        if (!hyp.demotions().empty()) ++demoting;
+        if (std::any_of(hyp.designs().begin(), hyp.designs().end(),
+                        [](const core::DeviceDesign& d) {
+                          return !d.servers_feasible;
+                        }))
+          ++infeasible;
+      }
+  EXPECT_GT(demoting, 0u);
+  EXPECT_GT(infeasible, 0u);
 }
 
 }  // namespace
