@@ -12,6 +12,11 @@
 //       horizon (the profiler's partition invariant), so the table is a
 //       complete account of the trial, not a sample.
 //
+//   (3) export -- what do the Perfetto and Prometheus exports of a fully
+//       tapped trial cost next to the trial itself? `trial_to_export` (tapped
+//       run_trial time / export time) is gated in CI, so turning the exports
+//       on keeps costing a fraction of a trial.
+//
 // The fan-out stage feeds BENCH_profile.json the same BatchTiming
 // accounting the other drivers emit, so scripts/check_bench.py can track
 // profiled-trial throughput next to the bare-trial benches.
@@ -20,14 +25,20 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "common/env.hpp"
 #include "common/interrupt.hpp"
 #include "common/table.hpp"
+#include "core/event_trace.hpp"
 #include "system/parallel.hpp"
 #include "system/runner.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/perfetto.hpp"
+#include "telemetry/prometheus.hpp"
 
 namespace {
 
@@ -53,14 +64,18 @@ TrialConfig make_case_study_config(std::uint64_t seed, ProfileKnobs knobs) {
   return tc;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 /// Wall time of `reps` sequential trials with the given knobs.
 double time_trials(std::size_t reps, ProfileKnobs knobs) {
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < reps; ++r)
     benchmark::DoNotOptimize(
         run_trial(make_case_study_config(1 + r, knobs)));
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  return seconds_since(t0);
 }
 
 void print_overhead(bench::BenchReport& report) {
@@ -114,6 +129,63 @@ void print_attribution() {
             << "\n";
 }
 
+/// Times tapped I/O-GUARD trials (8 VMs, utilization 0.9, a 65,536-event
+/// ring, every tap on) against their Perfetto + Prometheus exports.
+void print_export(bench::BenchReport& report) {
+  const auto reps = static_cast<std::size_t>(env_int("IOGUARD_TRIALS", 4));
+  double trial_s = 0.0, perfetto_s = 0.0, prometheus_s = 0.0;
+  std::uint64_t events = 0;
+  for (std::size_t r = 0; r < reps; ++r) {
+    core::EventTrace trace(1 << 16);
+    telemetry::MetricsRegistry metrics;
+    TrialConfig tc =
+        make_case_study_config(1 + r, {.profile = true, .jitter = true});
+    tc.workload.target_utilization = 0.9;
+    tc.trace = &trace;
+    tc.metrics = &metrics;
+    tc.collect_stage_latencies = tc.collect_response_times = true;
+    auto t0 = std::chrono::steady_clock::now();
+    const TrialResult result = run_trial(tc);
+    trial_s += seconds_since(t0);
+
+    std::vector<telemetry::ProfileCounterTrack> tracks;
+    for (const auto& c : result.profile)
+      tracks.push_back(
+          {c.name, c.busy_slots, c.stall_slots, c.quiescent_slots});
+    std::ostringstream perfetto, prometheus;
+    t0 = std::chrono::steady_clock::now();
+    telemetry::write_perfetto_json(perfetto, trace, {}, tracks);
+    perfetto_s += seconds_since(t0);
+    t0 = std::chrono::steady_clock::now();
+    telemetry::write_prometheus(prometheus, metrics);
+    prometheus_s += seconds_since(t0);
+    benchmark::DoNotOptimize(perfetto.tellp() + prometheus.tellp());
+    events += trace.size();
+  }
+  const double export_s = perfetto_s + prometheus_s;
+
+  std::cout << "=== export cost (" << reps << " tapped trials, " << events
+            << " trace events) ===\n";
+  TextTable table({"stage", "wall_s", "ns_per_event"});
+  auto row = [&](const char* name, double wall) {
+    table.add(name, fmt_double(wall, 4),
+              fmt_double(wall * 1e9 / static_cast<double>(events), 1));
+  };
+  row("tapped run_trial", trial_s);
+  row("perfetto json", perfetto_s);
+  row("prometheus text", prometheus_s);
+  table.render(std::cout);
+  std::cout << "trial_to_export " << fmt_double(trial_s / export_s, 2)
+            << "\n\n";
+
+  report.add_stage_seconds("tapped_trials", trial_s);
+  report.add_stage_seconds("perfetto_export", perfetto_s);
+  report.add_stage_seconds("prometheus_export", prometheus_s);
+  report.add_metric("export_ns_per_event",
+                    export_s * 1e9 / static_cast<double>(events));
+  report.add_metric("trial_to_export", trial_s / export_s);
+}
+
 /// Profiled trial fan-out, so the BENCH json carries the usual
 /// trials/sec + speedup accounting for the instrumented path.
 BatchTiming run_profiled_sweep(const bench::BenchFlags& flags) {
@@ -154,6 +226,7 @@ int main(int argc, char** argv) {
   bench::BenchReport report("profile");
   print_overhead(report);
   print_attribution();
+  print_export(report);
   const auto timing = run_profiled_sweep(flags);
   if (ioguard::InterruptGuard::requested())
     return ioguard::kInterruptedExitCode;

@@ -19,12 +19,16 @@ Exit status: 0 all checks pass, 1 any failure (each failure is printed).
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
 FAILURES = []
 
-KNOWN_CODES = {f"LNT{n:03d}" for n in range(1, 9)}
+# The rule codes the linter defines: every `///< LNTnnn:` enumerator comment
+# in its header, so a new rule cannot be rejected here as unknown.
+LINT_HEADER = Path(__file__).resolve().parent.parent / "src" / "lint" / "lint.hpp"
+KNOWN_CODES = set(re.findall(r"///< (LNT\d{3}):", LINT_HEADER.read_text()))
 
 
 def fail(msg):

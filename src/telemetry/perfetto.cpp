@@ -1,13 +1,14 @@
 #include "telemetry/perfetto.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <iomanip>
 #include <ostream>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "telemetry/spans.hpp"
+#include "telemetry/text_sink.hpp"
 
 namespace ioguard::telemetry {
 
@@ -16,116 +17,101 @@ namespace {
 constexpr int kVmPid = 1;
 constexpr int kDevicePid = 2;
 
-/// Escapes a string for a JSON literal (all emitted names are ASCII).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-class EventWriter {
+/// Distinct track ids, visited in ascending order: a bitmap for the small
+/// ids real traces carry, a sorted list for anything larger.
+class TrackIds {
  public:
-  explicit EventWriter(std::ostream& os) : os_(os) {}
+  void insert(std::uint32_t id) {
+    if (id >= kBitmapIds) {
+      large_.push_back(id);
+      return;
+    }
+    const std::size_t word = id / 64;
+    if (word >= bits_.size()) bits_.resize(word + 1, 0);
+    bits_[word] |= std::uint64_t{1} << (id % 64);
+  }
 
-  /// Starts one event object; caller appends fields via kv/raw, then end().
-  void begin() {
-    if (!first_) os_ << ",\n";
-    first_ = false;
-    os_ << "  {";
-    field_first_ = true;
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (std::size_t w = 0; w < bits_.size(); ++w)
+      for (std::uint64_t b = bits_[w]; b != 0; b &= b - 1)
+        fn(static_cast<std::uint32_t>(w * 64 + std::countr_zero(b)));
+    std::sort(large_.begin(), large_.end());
+    large_.erase(std::unique(large_.begin(), large_.end()), large_.end());
+    for (std::uint32_t id : large_) fn(id);
   }
-  void kv(const char* key, const std::string& value) {
-    sep();
-    os_ << '"' << key << "\":\"" << json_escape(value) << '"';
-  }
-  void kv(const char* key, double value) {
-    sep();
-    os_ << '"' << key << "\":" << value;
-  }
-  void kv(const char* key, std::uint64_t value) {
-    sep();
-    os_ << '"' << key << "\":" << value;
-  }
-  void kv(const char* key, int value) {
-    sep();
-    os_ << '"' << key << "\":" << value;
-  }
-  void raw(const char* key, const std::string& json) {
-    sep();
-    os_ << '"' << key << "\":" << json;
-  }
-  void end() { os_ << '}'; }
 
  private:
-  void sep() {
-    if (!field_first_) os_ << ',';
-    field_first_ = false;
-  }
-  std::ostream& os_;
-  bool first_ = true;
-  bool field_first_ = true;
+  static constexpr std::uint32_t kBitmapIds = 1u << 16;
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::uint32_t> large_;
 };
 
-void write_thread_name(EventWriter& w, int pid, std::uint64_t tid,
-                       const std::string& name) {
-  w.begin();
-  w.kv("ph", std::string("M"));
-  w.kv("name", std::string("thread_name"));
-  w.kv("pid", pid);
-  w.kv("tid", tid);
-  w.raw("args", "{\"name\":\"" + json_escape(name) + "\"}");
-  w.end();
-}
+/// The "traceEvents" array: "  {...}" objects joined by ",\n".
+class EventList {
+ public:
+  explicit EventList(TextSink& out) : out_(out) {}
 
-void write_process_name(EventWriter& w, int pid, const std::string& name) {
-  w.begin();
-  w.kv("ph", std::string("M"));
-  w.kv("name", std::string("process_name"));
-  w.kv("pid", pid);
-  w.kv("tid", std::uint64_t{0});
-  w.raw("args", "{\"name\":\"" + json_escape(name) + "\"}");
-  w.end();
-}
+  /// Opens the next event object; the caller writes its fields and '}'.
+  TextSink& begin() {
+    out_.lit(first_ ? "  {" : ",\n  {");
+    first_ = false;
+    return out_;
+  }
+
+  /// Opens a metadata event up to its display name; the caller writes the
+  /// name and closes with `"}}`.
+  TextSink& metadata(const char* what, int pid, std::uint32_t tid) {
+    return begin()
+        .lit("\"ph\":\"M\",\"name\":\"")
+        .lit(what)
+        .lit("\",\"pid\":")
+        .integer(pid)
+        .lit(",\"tid\":")
+        .integer(tid)
+        .lit(",\"args\":{\"name\":\"");
+  }
+
+ private:
+  TextSink& out_;
+  bool first_ = true;
+};
 
 }  // namespace
 
 void write_perfetto_json(std::ostream& os, const core::EventTrace& trace,
                          const PerfettoOptions& options,
                          const std::vector<ProfileCounterTrack>& profile) {
-  const auto saved_precision = os.precision(15);
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  EventWriter w(os);
+  TextSink out(os);
+  out.lit("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+  EventList events(out);
 
   // ---- Track metadata: one thread per VM, one per device. ----------------
-  std::set<std::uint32_t> vms, devices;
+  TrackIds vms, devices;
   const std::size_t n = trace.size();
   for (std::size_t i = 0; i < n; ++i) {
     const core::TraceEvent& e = trace.ordered(i);
     if (e.vm.valid()) vms.insert(e.vm.value);
     if (e.device.valid()) devices.insert(e.device.value);
   }
-  write_process_name(w, kVmPid, options.process_vms);
-  write_process_name(w, kDevicePid, options.process_devices);
-  for (std::uint32_t vm : vms)
-    write_thread_name(w, kVmPid, vm, "VM " + std::to_string(vm));
-  for (std::uint32_t dev : devices)
-    write_thread_name(w, kDevicePid, dev, "device " + std::to_string(dev));
+  events.metadata("process_name", kVmPid, 0)
+      .escaped(options.process_vms)
+      .lit("\"}}");
+  events.metadata("process_name", kDevicePid, 0)
+      .escaped(options.process_devices)
+      .lit("\"}}");
+  vms.for_each([&](std::uint32_t vm) {
+    events.metadata("thread_name", kVmPid, vm)
+        .lit("VM ")
+        .integer(vm)
+        .lit("\"}}");
+  });
+  devices.for_each([&](std::uint32_t dev) {
+    events.metadata("thread_name", kDevicePid, dev)
+        .lit("device ")
+        .integer(dev)
+        .lit("\"}}");
+  });
 
   const double us = options.us_per_slot;
 
@@ -134,45 +120,55 @@ void write_perfetto_json(std::ostream& os, const core::EventTrace& trace,
     if (!s.vm.valid()) continue;
     if (s.dropped || s.submit == kNeverSlot) continue;
     if (!s.finished()) continue;
-    w.begin();
-    w.kv("ph", std::string("X"));
-    w.kv("name", "job " + std::to_string(s.job.value) + " (task " +
-                     std::to_string(s.task.value) + ")");
-    w.kv("cat", std::string(s.deadline_missed ? "job,missed" : "job"));
-    w.kv("pid", kVmPid);
-    w.kv("tid", std::uint64_t{s.vm.value});
-    w.kv("ts", static_cast<double>(s.submit) * us);
-    w.kv("dur", static_cast<double>(s.complete + 1 - s.submit) * us);
-    std::string args = "{\"device\":" + std::to_string(s.device.value);
+    events.begin()
+        .lit("\"ph\":\"X\",\"name\":\"job ")
+        .integer(s.job.value)
+        .lit(" (task ")
+        .integer(s.task.value)
+        .lit(")\",\"cat\":\"")
+        .lit(s.deadline_missed ? "job,missed" : "job")
+        .lit("\",\"pid\":")
+        .integer(kVmPid)
+        .lit(",\"tid\":")
+        .integer(s.vm.value)
+        .lit(",\"ts\":")
+        .real(static_cast<double>(s.submit) * us)
+        .lit(",\"dur\":")
+        .real(static_cast<double>(s.complete + 1 - s.submit) * us)
+        .lit(",\"args\":{\"device\":")
+        .integer(s.device.value);
     if (s.expose != kNeverSlot)
-      args += ",\"shadow_expose_slot\":" + std::to_string(s.expose);
+      out.lit(",\"shadow_expose_slot\":").integer(s.expose);
     if (s.first_grant != kNeverSlot)
-      args += ",\"first_grant_slot\":" + std::to_string(s.first_grant);
+      out.lit(",\"first_grant_slot\":").integer(s.first_grant);
     if (s.deadline_missed)
-      args += ",\"lateness_slots\":" + std::to_string(s.lateness_slots);
-    args += '}';
-    w.raw("args", args);
-    w.end();
+      out.lit(",\"lateness_slots\":").integer(s.lateness_slots);
+    out.lit("}}");
   }
 
   // ---- Device tracks: slot-aligned channel activity + instants. ----------
   for (std::size_t i = 0; i < n; ++i) {
     const core::TraceEvent& e = trace.ordered(i);
-    const auto ts = static_cast<double>(e.slot) * us;
     switch (e.kind) {
       case core::TraceEventKind::kPchannelSlot:
       case core::TraceEventKind::kRchannelGrant: {
         const bool pch = e.kind == core::TraceEventKind::kPchannelSlot;
-        w.begin();
-        w.kv("ph", std::string("X"));
-        w.kv("name", pch ? std::string("P-channel")
-                         : "R-grant vm" + std::to_string(e.vm.value));
-        w.kv("cat", std::string(pch ? "pchannel" : "rchannel"));
-        w.kv("pid", kDevicePid);
-        w.kv("tid", std::uint64_t{e.device.value});
-        w.kv("ts", ts);
-        w.kv("dur", us);
-        w.end();
+        events.begin().lit("\"ph\":\"X\",\"name\":\"");
+        if (pch)
+          out.lit("P-channel");
+        else
+          out.lit("R-grant vm").integer(e.vm.value);
+        out.lit("\",\"cat\":\"")
+            .lit(pch ? "pchannel" : "rchannel")
+            .lit("\",\"pid\":")
+            .integer(kDevicePid)
+            .lit(",\"tid\":")
+            .integer(e.device.value)
+            .lit(",\"ts\":")
+            .real(static_cast<double>(e.slot) * us)
+            .lit(",\"dur\":")
+            .real(us)
+            .ch('}');
         break;
       }
       case core::TraceEventKind::kDrop:
@@ -181,40 +177,51 @@ void write_perfetto_json(std::ostream& os, const core::EventTrace& trace,
       case core::TraceEventKind::kFaultInject:
       case core::TraceEventKind::kRetry:
       case core::TraceEventKind::kWatchdogAbort:
-      case core::TraceEventKind::kShed: {
-        w.begin();
-        w.kv("ph", std::string("i"));
-        w.kv("s", std::string("t"));
-        w.kv("name", std::string(core::to_string(e.kind)) + " task " +
-                         std::to_string(e.task.value));
-        w.kv("cat", std::string("alert"));
-        w.kv("pid", kDevicePid);
-        w.kv("tid", std::uint64_t{e.device.value});
-        w.kv("ts", ts);
-        w.end();
+      case core::TraceEventKind::kShed:
+        events.begin()
+            .lit("\"ph\":\"i\",\"s\":\"t\",\"name\":\"")
+            .lit(core::to_string(e.kind))
+            .lit(" task ")
+            .integer(e.task.value)
+            .lit("\",\"cat\":\"alert\",\"pid\":")
+            .integer(kDevicePid)
+            .lit(",\"tid\":")
+            .integer(e.device.value)
+            .lit(",\"ts\":")
+            .real(static_cast<double>(e.slot) * us)
+            .ch('}');
         break;
-      }
-      default:
+      // Lifecycle phases live on the VM tracks' job spans; mode
+      // transitions are VM-wide, not device activity.
+      case core::TraceEventKind::kSubmit:
+      case core::TraceEventKind::kShadowExpose:
+      case core::TraceEventKind::kTranslate:
+      case core::TraceEventKind::kDeviceBegin:
+      case core::TraceEventKind::kComplete:
+      case core::TraceEventKind::kModeSwitch:
+      case core::TraceEventKind::kModeRecover:
         break;
     }
   }
 
   // ---- Cycle-attribution counters (one "C" sample per component). --------
   for (const ProfileCounterTrack& c : profile) {
-    w.begin();
-    w.kv("ph", std::string("C"));
-    w.kv("name", "profile " + c.name);
-    w.kv("pid", kDevicePid);
-    w.kv("tid", std::uint64_t{0});
-    w.kv("ts", 0.0);
-    w.raw("args", "{\"busy\":" + std::to_string(c.busy) +
-                      ",\"stall\":" + std::to_string(c.stall) +
-                      ",\"quiescent\":" + std::to_string(c.quiescent) + "}");
-    w.end();
+    events.begin()
+        .lit("\"ph\":\"C\",\"name\":\"profile ")
+        .escaped(c.name)
+        .lit("\",\"pid\":")
+        .integer(kDevicePid)
+        .lit(",\"tid\":0,\"ts\":0,\"args\":{\"busy\":")
+        .integer(c.busy)
+        .lit(",\"stall\":")
+        .integer(c.stall)
+        .lit(",\"quiescent\":")
+        .integer(c.quiescent)
+        .lit("}}");
   }
 
-  os << "\n]}\n";
-  os.precision(saved_precision);
+  out.lit("\n]}\n");
+  out.flush();
 }
 
 }  // namespace ioguard::telemetry

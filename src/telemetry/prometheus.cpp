@@ -2,38 +2,44 @@
 
 #include <cmath>
 #include <ostream>
-#include <sstream>
 #include <string>
+
+#include "telemetry/text_sink.hpp"
 
 namespace ioguard::telemetry {
 
 namespace {
 
-std::string fmt_value(double v) {
-  if (std::isnan(v)) return "NaN";
-  std::ostringstream os;
-  os.precision(15);
-  os << v;
-  return os.str();
+void write_value(TextSink& out, double v) {
+  if (std::isnan(v)) {
+    out.lit("NaN");
+  } else {
+    out.real(v);
+  }
 }
 
-/// Renders {a="x"} or, with an extra pair appended, {a="x",le="1"}.
-std::string label_block(const Labels& labels, const std::string& extra_key = "",
-                        const std::string& extra_value = "") {
-  if (labels.empty() && extra_key.empty()) return {};
-  std::string out = "{";
-  bool first = true;
+/// Writes `{a="x"` -- the label block without its closing brace.
+void open_labels(TextSink& out, const Labels& labels) {
+  char sep = '{';
   for (const auto& l : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += l.key + "=\"" + l.value + '"';
+    out.ch(sep).lit(l.key).lit("=\"").lit(l.value).ch('"');
+    sep = ',';
   }
-  if (!extra_key.empty()) {
-    if (!first) out += ',';
-    out += extra_key + "=\"" + extra_value + '"';
-  }
-  out += '}';
-  return out;
+}
+
+/// Writes `{a="x"}`, or nothing for an empty label set.
+void write_labels(TextSink& out, const Labels& labels) {
+  if (labels.empty()) return;
+  open_labels(out, labels);
+  out.ch('}');
+}
+
+/// Writes `name_bucket{a="x",le="` up to the bound itself.
+void open_bucket(TextSink& out, const std::string& name,
+                 const Labels& labels) {
+  out.lit(name).lit("_bucket");
+  open_labels(out, labels);
+  out.lit(labels.empty() ? "{le=\"" : ",le=\"");
 }
 
 const char* type_name(MetricsRegistry::Kind kind) {
@@ -48,37 +54,47 @@ const char* type_name(MetricsRegistry::Kind kind) {
 }  // namespace
 
 void write_prometheus(std::ostream& os, const MetricsRegistry& registry) {
+  TextSink out(os);
   std::string current_family;
   for (const auto& e : registry.entries()) {
     if (e.name != current_family) {
       current_family = e.name;
-      os << "# TYPE " << e.name << ' ' << type_name(e.kind) << '\n';
+      out.lit("# TYPE ").lit(e.name).ch(' ').lit(type_name(e.kind)).ch('\n');
     }
     switch (e.kind) {
       case MetricsRegistry::Kind::kCounter:
-        os << e.name << label_block(e.labels) << ' ' << e.counter->value()
-           << '\n';
+        out.lit(e.name);
+        write_labels(out, e.labels);
+        out.ch(' ').integer(e.counter->value()).ch('\n');
         break;
       case MetricsRegistry::Kind::kGauge:
-        os << e.name << label_block(e.labels) << ' '
-           << fmt_value(e.gauge->value()) << '\n';
+        out.lit(e.name);
+        write_labels(out, e.labels);
+        out.ch(' ');
+        write_value(out, e.gauge->value());
+        out.ch('\n');
         break;
       case MetricsRegistry::Kind::kHistogram: {
         const LatencyHistogram& h = *e.histogram;
-        for (std::size_t i = 0; i < h.bounds().size(); ++i)
-          os << e.name << "_bucket"
-             << label_block(e.labels, "le", fmt_value(h.bounds()[i])) << ' '
-             << h.cumulative(i) << '\n';
-        os << e.name << "_bucket" << label_block(e.labels, "le", "+Inf")
-           << ' ' << h.count() << '\n';
-        os << e.name << "_sum" << label_block(e.labels) << ' '
-           << fmt_value(h.sum()) << '\n';
-        os << e.name << "_count" << label_block(e.labels) << ' ' << h.count()
-           << '\n';
+        for (std::size_t i = 0; i < h.bounds().size(); ++i) {
+          open_bucket(out, e.name, e.labels);
+          write_value(out, h.bounds()[i]);
+          out.lit("\"} ").integer(h.cumulative(i)).ch('\n');
+        }
+        open_bucket(out, e.name, e.labels);
+        out.lit("+Inf\"} ").integer(h.count()).ch('\n');
+        out.lit(e.name).lit("_sum");
+        write_labels(out, e.labels);
+        out.ch(' ');
+        write_value(out, h.sum());
+        out.ch('\n').lit(e.name).lit("_count");
+        write_labels(out, e.labels);
+        out.ch(' ').integer(h.count()).ch('\n');
         break;
       }
     }
   }
+  out.flush();
 }
 
 }  // namespace ioguard::telemetry

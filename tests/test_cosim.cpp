@@ -85,5 +85,29 @@ TEST(Cosim, AgreesWithAnalyticRunnerOnOutcome) {
   EXPECT_EQ(cyc.jobs_counted, ana.jobs_counted);
 }
 
+TEST(Cosim, CountsPchannelJobsLikeTheAnalyticRunner) {
+  // P-channel jobs run under synthetic ids outside the arrival trace; both
+  // ledgers must count them (deadline within the horizon) at completion.
+  CosimConfig cfg;
+  cfg.kind = SystemKind::kIoGuard;
+  cfg.workload.num_vms = 4;
+  cfg.workload.target_utilization = 0.6;
+  cfg.workload.preload_fraction = 0.7;
+  cfg.horizon_slots = 20000;
+  cfg.seed = 3;
+  const auto cyc = run_cosim(cfg);
+
+  TrialConfig tc;
+  tc.kind = SystemKind::kIoGuard;
+  tc.workload = cfg.workload;
+  tc.horizon = cfg.horizon_slots;
+  tc.trial_seed = cfg.seed;
+  const auto ana = run_trial(tc);
+
+  EXPECT_EQ(ana.jobs_counted, 1541u);
+  EXPECT_EQ(cyc.jobs_counted, ana.jobs_counted);
+  EXPECT_TRUE(cyc.success());
+}
+
 }  // namespace
 }  // namespace ioguard::sys

@@ -1,9 +1,16 @@
 // Telemetry subsystem tests: metrics registry semantics, exporter formats,
-// span reconstruction from the event trace, and the runner wiring.
+// span reconstruction from the event trace, golden export bytes, and the
+// runner wiring.
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +20,7 @@
 #include "telemetry/perfetto.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/spans.hpp"
+#include "telemetry/text_sink.hpp"
 
 namespace ioguard {
 namespace {
@@ -270,6 +278,472 @@ TEST(Perfetto, EmitsTracksSpansAndInstants) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+// ---------------------------------------------------------------- text sink
+
+/// `os << v` at precision 15 -- what both exporters printed through
+/// iostreams, and what TextSink::real must reproduce byte for byte.
+std::string ostream_real(double v) {
+  std::ostringstream os;
+  os.precision(15);
+  os << v;
+  return os.str();
+}
+
+std::string sink_real(double v) {
+  std::ostringstream os;
+  telemetry::TextSink sink(os);
+  sink.real(v);
+  sink.flush();
+  return os.str();
+}
+
+TEST(TextSink, RealMatchesOstreamAtPrecision15) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 0.1 + 0.2, 1e-7, 2.0 / 3.0, 123.456,
+      1e15 - 1, 1e15, 1e15 + 1, -1e15 + 1, -1e15, 999999999999999.5,
+      99999999999999.95, 9007199254740992.0, 1e300, -1e-300, 5e-324,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  // Slot-aligned timestamps at the exporter's usual and odd slot widths.
+  for (const double us : {10.0, 2.5, 0.1, 1.0 / 3.0})
+    for (const Slot slot : {Slot{0}, Slot{1}, Slot{7}, Slot{12345},
+                            Slot{99999999999999}, Slot{100000000000000},
+                            Slot{123456789012345}})
+      values.push_back(static_cast<double>(slot) * us);
+  // Arbitrary bit patterns: every exponent, both signs, subnormals.
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 20000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const double v = std::bit_cast<double>(x);
+    if (!std::isnan(v)) values.push_back(v);
+    values.push_back(static_cast<double>(x % 2000000000000000ull) -
+                     1e15);  // integers straddling the fast-path bound
+  }
+  for (const double v : values) ASSERT_EQ(sink_real(v), ostream_real(v)) << v;
+}
+
+TEST(TextSink, EscapesLikeJson) {
+  std::ostringstream os;
+  telemetry::TextSink sink(os);
+  sink.escaped(std::string("a\"b\\c\nd\te\x01\x1f\x7f") + '\0' + "z");
+  sink.flush();
+  EXPECT_EQ(os.str(), "a\\\"b\\\\c\\nd\\te\\u0001\\u001f\x7f\\u0000z");
+}
+
+/// Records every write the stream receives.
+class RecordingBuf : public std::streambuf {
+ public:
+  std::vector<std::size_t> sizes;
+  std::string text;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    sizes.push_back(static_cast<std::size_t>(n));
+    text.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      const char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+    }
+    return traits_type::not_eof(c);
+  }
+};
+
+TEST(TextSink, FlushesInChunksNeverTheWholeFile) {
+  RecordingBuf buf;
+  std::ostream os(&buf);
+  telemetry::TextSink sink(os);
+  std::string expected;
+  const std::string line(100, 'x');
+  const std::string long_literal(1000, 'y');  // bypasses the buffer
+  for (int i = 0; i < 5000; ++i) {
+    sink.lit(line).integer(i).ch('\n');
+    expected += line + std::to_string(i) + '\n';
+    if (i % 1000 == 0) {
+      sink.lit(long_literal);
+      expected += long_literal;
+    }
+  }
+  sink.flush();
+  EXPECT_EQ(buf.text, expected);
+  ASSERT_GT(buf.text.size(), 7 * telemetry::TextSink::kChunk);
+  EXPECT_GE(buf.sizes.size(), 7u);
+  for (const std::size_t n : buf.sizes)
+    EXPECT_LE(n, telemetry::TextSink::kChunk + 256);
+}
+
+// ------------------------------------------------------------ golden bytes
+
+/// One event of every TraceEventKind (16), around two job lifecycles (one
+/// late), on three devices and four VMs; a few ids left invalid.
+EventTrace all_kinds_trace() {
+  EventTrace trace(64);
+  const JobId none{};
+  trace.record({10, TraceEventKind::kSubmit, DeviceId{0}, VmId{1}, TaskId{3},
+                JobId{7}, 0});
+  trace.record({12, TraceEventKind::kShadowExpose, DeviceId{0}, VmId{1},
+                TaskId{3}, JobId{7}, 0});
+  trace.record({13, TraceEventKind::kTranslate, DeviceId{0}, VmId{1},
+                TaskId{3}, JobId{7}, 40});
+  trace.record({15, TraceEventKind::kRchannelGrant, DeviceId{0}, VmId{1},
+                TaskId{3}, JobId{7}, 0});
+  trace.record({15, TraceEventKind::kDeviceBegin, DeviceId{0}, VmId{1},
+                TaskId{3}, JobId{7}, 0});
+  trace.record({18, TraceEventKind::kComplete, DeviceId{0}, VmId{1},
+                TaskId{3}, JobId{7}, 0});
+  trace.record({18, TraceEventKind::kDeadlineMiss, DeviceId{0}, VmId{1},
+                TaskId{3}, JobId{7}, 5});
+  trace.record({20, TraceEventKind::kPchannelSlot, DeviceId{1}, VmId{0},
+                TaskId{0}, JobId{0x40000001u}, 0});
+  trace.record({21, TraceEventKind::kDrop, DeviceId{0}, VmId{2}, TaskId{4},
+                JobId{11}, 0});
+  trace.record({22, TraceEventKind::kDemote, DeviceId{2}, VmId{3}, TaskId{5},
+                none, 0});
+  trace.record({23, TraceEventKind::kFaultInject, DeviceId{1}, VmId{}, TaskId{},
+                none, 2});
+  trace.record({24, TraceEventKind::kRetry, DeviceId{0}, VmId{2}, TaskId{4},
+                JobId{12}, 1});
+  trace.record({25, TraceEventKind::kWatchdogAbort, DeviceId{2}, VmId{0},
+                TaskId{6}, JobId{13}, 9});
+  trace.record({26, TraceEventKind::kShed, DeviceId{2}, VmId{2}, TaskId{4},
+                none, 3});
+  trace.record({27, TraceEventKind::kModeSwitch, DeviceId{}, VmId{1}, TaskId{},
+                none, 2});
+  trace.record({30, TraceEventKind::kSubmit, DeviceId{1}, VmId{2}, TaskId{8},
+                JobId{14}, 0});
+  trace.record({31, TraceEventKind::kRchannelGrant, DeviceId{1}, VmId{2},
+                TaskId{8}, JobId{14}, 0});
+  trace.record({31, TraceEventKind::kDeviceBegin, DeviceId{1}, VmId{2},
+                TaskId{8}, JobId{14}, 0});
+  trace.record({33, TraceEventKind::kComplete, DeviceId{1}, VmId{2},
+                TaskId{8}, JobId{14}, 0});
+  trace.record({40, TraceEventKind::kModeRecover, DeviceId{}, VmId{1},
+                TaskId{}, none, 0});
+  return trace;
+}
+
+/// A short lifecycle at odd slots plus one channel slot, for us_per_slot
+/// values whose products are not integral.
+EventTrace odd_slot_trace() {
+  EventTrace trace(64);
+  trace.record({3, TraceEventKind::kSubmit, DeviceId{0}, VmId{0}, TaskId{1},
+                JobId{2}, 0});
+  trace.record({7, TraceEventKind::kRchannelGrant, DeviceId{0}, VmId{0},
+                TaskId{1}, JobId{2}, 0});
+  trace.record({7, TraceEventKind::kDeviceBegin, DeviceId{0}, VmId{0},
+                TaskId{1}, JobId{2}, 0});
+  trace.record({9, TraceEventKind::kComplete, DeviceId{0}, VmId{0}, TaskId{1},
+                JobId{2}, 0});
+  trace.record({11, TraceEventKind::kPchannelSlot, DeviceId{1}, VmId{0},
+                TaskId{0}, JobId{0x40000002u}, 0});
+  return trace;
+}
+
+/// Slots around 1e14: at 10 us/slot, ts crosses 1e15, where %.15g switches
+/// to the exponent form.
+EventTrace huge_slot_trace() {
+  EventTrace trace(64);
+  for (const Slot slot : {Slot{99999999999999}, Slot{100000000000000},
+                          Slot{123456789012345}})
+    trace.record({slot, TraceEventKind::kPchannelSlot, DeviceId{0}, VmId{0},
+                  TaskId{0}, JobId{0x40000003u}, 0});
+  trace.record({Slot{100000000000000}, TraceEventKind::kSubmit, DeviceId{0},
+                VmId{1}, TaskId{2}, JobId{5}, 0});
+  trace.record({Slot{100000000000003}, TraceEventKind::kComplete, DeviceId{0},
+                VmId{1}, TaskId{2}, JobId{5}, 0});
+  return trace;
+}
+
+/// Track ids far apart, some past the exporter's bitmap range.
+EventTrace sparse_id_trace() {
+  EventTrace trace(64);
+  for (const std::uint32_t id : {0x80000000u, 70000u, 3u, 65535u, 65536u,
+                                 70000u, 0xfffffffeu, 64u})
+    trace.record({1, TraceEventKind::kPchannelSlot, DeviceId{id},
+                  VmId{id ^ 1u}, TaskId{0}, JobId{0x40000004u}, 0});
+  return trace;
+}
+
+/// A full 65,536-event ring after 90,000 records (so it has wrapped):
+/// lifecycles, channel slots and alerts from a fixed arithmetic sequence.
+EventTrace wrapped_ring_trace() {
+  EventTrace trace(1 << 16);
+  std::uint64_t x = 88172645463325252ull;
+  Slot slot = 0;
+  std::uint32_t job = 0;
+  while (trace.total_recorded() < 90000) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const DeviceId dev{static_cast<std::uint32_t>(x % 4)};
+    const VmId vm{static_cast<std::uint32_t>((x >> 8) % 8)};
+    const TaskId task{static_cast<std::uint32_t>((x >> 16) % 40)};
+    slot += 1 + (x >> 24) % 3;
+    if ((x >> 32) % 5 == 0) {
+      trace.record({slot, TraceEventKind::kPchannelSlot, dev, vm, task,
+                    JobId{0x40000000u + job++}, 0});
+      continue;
+    }
+    const JobId id{job++};
+    trace.record({slot, TraceEventKind::kSubmit, dev, vm, task, id, 0});
+    if ((x >> 40) % 17 == 0) {
+      trace.record({slot, TraceEventKind::kDrop, dev, vm, task, id, 0});
+      continue;
+    }
+    trace.record({slot + 1, TraceEventKind::kShadowExpose, dev, vm, task, id,
+                  0});
+    trace.record({slot + 2, TraceEventKind::kRchannelGrant, dev, vm, task, id,
+                  0});
+    trace.record({slot + 2, TraceEventKind::kDeviceBegin, dev, vm, task, id,
+                  0});
+    const Slot done = slot + 2 + (x >> 44) % 6;
+    trace.record({done, TraceEventKind::kComplete, dev, vm, task, id, 0});
+    if ((x >> 50) % 11 == 0)
+      trace.record({done, TraceEventKind::kDeadlineMiss, dev, vm, task, id,
+                    static_cast<std::uint32_t>((x >> 56) % 9 + 1)});
+  }
+  return trace;
+}
+
+/// FNV-1a, 64-bit.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string perfetto_text(const EventTrace& trace,
+                          const telemetry::PerfettoOptions& options = {},
+                          const std::vector<telemetry::ProfileCounterTrack>&
+                              profile = {}) {
+  std::ostringstream os;
+  telemetry::write_perfetto_json(os, trace, options, profile);
+  return os.str();
+}
+
+/// Gauges and histogram bounds whose %.15g forms are easy to get wrong.
+MetricsRegistry awkward_registry() {
+  MetricsRegistry reg;
+  reg.counter("ioguard_a_total").inc(18446744073709551615ull);
+  reg.counter("ioguard_b_total", {{"vm", "0"}, {"dev", "x"}}).inc(3);
+  reg.gauge("ioguard_g", {{"v", "nan"}}).set(std::nan(""));
+  reg.gauge("ioguard_g", {{"v", "inf"}})
+      .set(std::numeric_limits<double>::infinity());
+  reg.gauge("ioguard_g", {{"v", "-inf"}})
+      .set(-std::numeric_limits<double>::infinity());
+  reg.gauge("ioguard_g", {{"v", "-0"}}).set(-0.0);
+  reg.gauge("ioguard_g", {{"v", "1e-7"}}).set(1e-7);
+  reg.gauge("ioguard_g", {{"v", "0.1+0.2"}}).set(0.1 + 0.2);
+  reg.gauge("ioguard_g", {{"v", "1e15"}}).set(1e15);
+  reg.gauge("ioguard_g", {{"v", "-123456789012345"}}).set(-123456789012345.0);
+  reg.gauge("ioguard_g", {{"v", "2/3"}}).set(2.0 / 3.0);
+  reg.gauge("ioguard_plain").set(4.0);
+  auto& h = reg.histogram("ioguard_h_slots", {},
+                          {1e-7, 0.1 + 0.2, 0.5, 1.0, 2.5, 1e15, 1e16});
+  for (const double v : {0.0, 0.25, 0.3, 3.0, 1e15, 5e16}) h.observe(v);
+  auto& hl = reg.histogram("ioguard_hl_slots", {{"stage", "total"}},
+                           {-0.5, 0.1 + 0.2});
+  hl.observe(0.1);
+  hl.observe(0.2);
+  return reg;
+}
+
+constexpr std::string_view kAllKindsPerfetto = R"golden({"displayTimeUnit":"ms","traceEvents":[
+  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"R-channel jobs"}},
+  {"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"Devices"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"VM 0"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"VM 1"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{"name":"VM 2"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":3,"args":{"name":"VM 3"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":0,"args":{"name":"device 0"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":1,"args":{"name":"device 1"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":2,"args":{"name":"device 2"}},
+  {"ph":"X","name":"job 7 (task 3)","cat":"job,missed","pid":1,"tid":1,"ts":100,"dur":90,"args":{"device":0,"shadow_expose_slot":12,"first_grant_slot":15,"lateness_slots":5}},
+  {"ph":"X","name":"job 14 (task 8)","cat":"job","pid":1,"tid":2,"ts":300,"dur":40,"args":{"device":1,"first_grant_slot":31}},
+  {"ph":"X","name":"R-grant vm1","cat":"rchannel","pid":2,"tid":0,"ts":150,"dur":10},
+  {"ph":"i","s":"t","name":"deadline_miss task 3","cat":"alert","pid":2,"tid":0,"ts":180},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":1,"ts":200,"dur":10},
+  {"ph":"i","s":"t","name":"drop task 4","cat":"alert","pid":2,"tid":0,"ts":210},
+  {"ph":"i","s":"t","name":"demote task 5","cat":"alert","pid":2,"tid":2,"ts":220},
+  {"ph":"i","s":"t","name":"fault_inject task 4294967295","cat":"alert","pid":2,"tid":1,"ts":230},
+  {"ph":"i","s":"t","name":"retry task 4","cat":"alert","pid":2,"tid":0,"ts":240},
+  {"ph":"i","s":"t","name":"watchdog_abort task 6","cat":"alert","pid":2,"tid":2,"ts":250},
+  {"ph":"i","s":"t","name":"shed task 4","cat":"alert","pid":2,"tid":2,"ts":260},
+  {"ph":"X","name":"R-grant vm2","cat":"rchannel","pid":2,"tid":1,"ts":310,"dur":10}
+]}
+)golden";
+
+constexpr std::string_view kOddSlotsAt2_5us = R"golden({"displayTimeUnit":"ms","traceEvents":[
+  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"R-channel jobs"}},
+  {"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"Devices"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"VM 0"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":0,"args":{"name":"device 0"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":1,"args":{"name":"device 1"}},
+  {"ph":"X","name":"job 2 (task 1)","cat":"job","pid":1,"tid":0,"ts":7.5,"dur":17.5,"args":{"device":0,"first_grant_slot":7}},
+  {"ph":"X","name":"R-grant vm0","cat":"rchannel","pid":2,"tid":0,"ts":17.5,"dur":2.5},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":1,"ts":27.5,"dur":2.5}
+]}
+)golden";
+
+constexpr std::string_view kOddSlotsAt0_1us = R"golden({"displayTimeUnit":"ms","traceEvents":[
+  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"R-channel jobs"}},
+  {"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"Devices"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"VM 0"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":0,"args":{"name":"device 0"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":1,"args":{"name":"device 1"}},
+  {"ph":"X","name":"job 2 (task 1)","cat":"job","pid":1,"tid":0,"ts":0.3,"dur":0.7,"args":{"device":0,"first_grant_slot":7}},
+  {"ph":"X","name":"R-grant vm0","cat":"rchannel","pid":2,"tid":0,"ts":0.7,"dur":0.1},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":1,"ts":1.1,"dur":0.1}
+]}
+)golden";
+
+constexpr std::string_view kHugeSlotsPerfetto = R"golden({"displayTimeUnit":"ms","traceEvents":[
+  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"R-channel jobs"}},
+  {"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"Devices"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"VM 0"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"VM 1"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":0,"args":{"name":"device 0"}},
+  {"ph":"X","name":"job 5 (task 2)","cat":"job","pid":1,"tid":1,"ts":1e+15,"dur":40,"args":{"device":0}},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":0,"ts":999999999999990,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":0,"ts":1e+15,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":0,"ts":1.23456789012345e+15,"dur":10}
+]}
+)golden";
+
+constexpr std::string_view kEscapedNamesPerfetto = R"golden({"displayTimeUnit":"ms","traceEvents":[
+  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"VMs \"quoted\" \\ back"}},
+  {"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"dev\u0001\ttab\nnl\u001f"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"VM 0"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":0,"args":{"name":"device 0"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":1,"args":{"name":"device 1"}},
+  {"ph":"X","name":"job 2 (task 1)","cat":"job","pid":1,"tid":0,"ts":30,"dur":70,"args":{"device":0,"first_grant_slot":7}},
+  {"ph":"X","name":"R-grant vm0","cat":"rchannel","pid":2,"tid":0,"ts":70,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":1,"ts":110,"dur":10},
+  {"ph":"C","name":"profile issue \"q\"\\","pid":2,"tid":0,"ts":0,"args":{"busy":1,"stall":2,"quiescent":3}},
+  {"ph":"C","name":"profile vmm\u0002","pid":2,"tid":0,"ts":0,"args":{"busy":4,"stall":5,"quiescent":6}}
+]}
+)golden";
+
+constexpr std::string_view kAwkwardPrometheus = R"golden(# TYPE ioguard_a_total counter
+ioguard_a_total 18446744073709551615
+# TYPE ioguard_b_total counter
+ioguard_b_total{vm="0",dev="x"} 3
+# TYPE ioguard_g gauge
+ioguard_g{v="-0"} -0
+ioguard_g{v="-123456789012345"} -123456789012345
+ioguard_g{v="-inf"} -inf
+ioguard_g{v="0.1+0.2"} 0.3
+ioguard_g{v="1e-7"} 1e-07
+ioguard_g{v="1e15"} 1e+15
+ioguard_g{v="2/3"} 0.666666666666667
+ioguard_g{v="inf"} inf
+ioguard_g{v="nan"} NaN
+# TYPE ioguard_h_slots histogram
+ioguard_h_slots_bucket{le="1e-07"} 1
+ioguard_h_slots_bucket{le="0.3"} 3
+ioguard_h_slots_bucket{le="0.5"} 3
+ioguard_h_slots_bucket{le="1"} 3
+ioguard_h_slots_bucket{le="2.5"} 3
+ioguard_h_slots_bucket{le="1e+15"} 5
+ioguard_h_slots_bucket{le="1e+16"} 5
+ioguard_h_slots_bucket{le="+Inf"} 6
+ioguard_h_slots_sum 5.1e+16
+ioguard_h_slots_count 6
+# TYPE ioguard_hl_slots histogram
+ioguard_hl_slots_bucket{stage="total",le="-0.5"} 0
+ioguard_hl_slots_bucket{stage="total",le="0.3"} 2
+ioguard_hl_slots_bucket{stage="total",le="+Inf"} 2
+ioguard_hl_slots_sum{stage="total"} 0.3
+ioguard_hl_slots_count{stage="total"} 2
+# TYPE ioguard_plain gauge
+ioguard_plain 4
+)golden";
+
+constexpr std::string_view kSparseIdsPerfetto = R"golden({"displayTimeUnit":"ms","traceEvents":[
+  {"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"R-channel jobs"}},
+  {"ph":"M","name":"process_name","pid":2,"tid":0,"args":{"name":"Devices"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":2,"args":{"name":"VM 2"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":65,"args":{"name":"VM 65"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":65534,"args":{"name":"VM 65534"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":65537,"args":{"name":"VM 65537"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":70001,"args":{"name":"VM 70001"}},
+  {"ph":"M","name":"thread_name","pid":1,"tid":2147483649,"args":{"name":"VM 2147483649"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":3,"args":{"name":"device 3"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":64,"args":{"name":"device 64"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":65535,"args":{"name":"device 65535"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":65536,"args":{"name":"device 65536"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":70000,"args":{"name":"device 70000"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":2147483648,"args":{"name":"device 2147483648"}},
+  {"ph":"M","name":"thread_name","pid":2,"tid":4294967294,"args":{"name":"device 4294967294"}},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":2147483648,"ts":10,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":70000,"ts":10,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":3,"ts":10,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":65535,"ts":10,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":65536,"ts":10,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":70000,"ts":10,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":4294967294,"ts":10,"dur":10},
+  {"ph":"X","name":"P-channel","cat":"pchannel","pid":2,"tid":64,"ts":10,"dur":10}
+]}
+)golden";
+
+constexpr std::size_t kWrappedRingBytes = 3492823;
+constexpr std::uint64_t kWrappedRingFnv = 1207388033073274776ull;
+
+// Expected bytes below were captured from the iostream-based exporters
+// these writers replaced; the outputs must stay identical.
+
+TEST(ExportGolden, PerfettoAllKinds) {
+  EXPECT_EQ(perfetto_text(all_kinds_trace()), kAllKindsPerfetto);
+}
+
+TEST(ExportGolden, PerfettoFractionalSlotWidths) {
+  telemetry::PerfettoOptions options;
+  options.us_per_slot = 2.5;
+  EXPECT_EQ(perfetto_text(odd_slot_trace(), options), kOddSlotsAt2_5us);
+  options.us_per_slot = 0.1;
+  EXPECT_EQ(perfetto_text(odd_slot_trace(), options), kOddSlotsAt0_1us);
+}
+
+TEST(ExportGolden, PerfettoExponentTimestamps) {
+  EXPECT_EQ(perfetto_text(huge_slot_trace()), kHugeSlotsPerfetto);
+}
+
+TEST(ExportGolden, PerfettoEscapesNames) {
+  telemetry::PerfettoOptions options;
+  options.process_vms = "VMs \"quoted\" \\ back";
+  options.process_devices = "dev\x01\ttab\nnl\x1f";
+  EXPECT_EQ(perfetto_text(odd_slot_trace(), options,
+                          {{"issue \"q\"\\", 1, 2, 3}, {"vmm\x02", 4, 5, 6}}),
+            kEscapedNamesPerfetto);
+}
+
+TEST(ExportGolden, PerfettoTrackIdsAscending) {
+  EXPECT_EQ(perfetto_text(sparse_id_trace()), kSparseIdsPerfetto);
+}
+
+TEST(ExportGolden, PerfettoWrappedRingDigest) {
+  const EventTrace trace = wrapped_ring_trace();
+  ASSERT_EQ(trace.size(), std::size_t{1} << 16);
+  const std::string json = perfetto_text(trace);
+  EXPECT_GT(json.size(), 8 * telemetry::TextSink::kChunk);
+  EXPECT_EQ(json.size(), kWrappedRingBytes);
+  EXPECT_EQ(fnv1a(json), kWrappedRingFnv);
+}
+
+TEST(ExportGolden, PrometheusAwkwardValues) {
+  std::ostringstream os;
+  telemetry::write_prometheus(os, awkward_registry());
+  EXPECT_EQ(os.str(), kAwkwardPrometheus);
 }
 
 // ------------------------------------------------------------ runner wiring
