@@ -20,15 +20,28 @@ PChannel::PChannel(workload::TaskSet predefined, sched::TimeSlotTable table)
   }
   const auto& raw = table_.raw();
   IOGUARD_CHECK_MSG(raw.size() <= 0xffffffffu, "hyperperiod exceeds 2^32 slots");
-  std::uint32_t free_seen = 0;
   for (std::uint32_t s = 0; s < raw.size(); ++s) {
-    if (raw[s] == sched::TimeSlotTable::kFree) {
-      ++free_seen;
-    } else if (!reserved_runs_.empty() && reserved_runs_.back().end == s) {
+    if (raw[s] == sched::TimeSlotTable::kFree) continue;
+    IOGUARD_CHECK_MSG(
+        raw[s] < run_of_task_.size() && run_of_task_[raw[s]] != kNoRun,
+        "table references unknown task");
+    if (!reserved_runs_.empty() && reserved_runs_.back().end == s) {
       ++reserved_runs_.back().end;
     } else {
-      reserved_runs_.push_back(ReservedRun{s, s + 1, free_seen});
+      reserved_runs_.push_back(ReservedRun{s, s + 1});
     }
+  }
+}
+
+FreeSlotIndex::FreeSlotIndex(const sched::TimeSlotTable& table)
+    : hyperperiod_(table.hyperperiod()) {
+  const auto& raw = table.raw();
+  IOGUARD_CHECK_MSG(raw.size() <= 0xffffffffu, "hyperperiod exceeds 2^32 slots");
+  before_.resize(raw.size());
+  phases_.reserve(table.free_slots());
+  for (std::uint32_t s = 0; s < raw.size(); ++s) {
+    before_[s] = static_cast<std::uint32_t>(phases_.size());
+    if (raw[s] == sched::TimeSlotTable::kFree) phases_.push_back(s);
   }
 }
 
@@ -48,37 +61,6 @@ Slot PChannel::next_reserved_slot(Slot from) const {
     return from + (std::max<Slot>(reserved_runs_[i].start, phase) - phase);
   // Wrap: the next reservation is the first one of the following period.
   return from + (hp - phase) + reserved_runs_.front().start;
-}
-
-Slot PChannel::free_before(Slot t) const {
-  const Slot hp = table_.hyperperiod();
-  const Slot phase = t % hp;
-  Slot in_period = phase;
-  const std::size_t i = run_after(phase);
-  // Runs before i end at or before `phase`; run i may contain it.
-  if (i < reserved_runs_.size() && reserved_runs_[i].start <= phase) {
-    in_period = reserved_runs_[i].free_before;
-  } else if (i > 0) {
-    const ReservedRun& r = reserved_runs_[i - 1];
-    in_period = r.free_before + (phase - r.end);
-  }
-  return (t / hp) * table_.free_slots() + in_period;
-}
-
-Slot PChannel::free_slot(Slot index) const {
-  const Slot f = table_.free_slots();
-  if (f == 0) return kNeverSlot;
-  const Slot r = index % f;
-  // The last run with at most r free slots before it precedes the target.
-  const auto it = std::upper_bound(
-      reserved_runs_.begin(), reserved_runs_.end(), r,
-      [](Slot v, const ReservedRun& run) { return v < run.free_before; });
-  Slot phase = r;
-  if (it != reserved_runs_.begin()) {
-    const ReservedRun& run = *(it - 1);
-    phase = run.end + (r - run.free_before);
-  }
-  return (index / f) * table_.hyperperiod() + phase;
 }
 
 void PChannel::set_jitter_recorder(JitterRecorder* recorder) {
@@ -119,16 +101,7 @@ std::optional<iodev::Completion> PChannel::execute_slot(Slot now,
   slot_used = false;
   const auto occupant = table_.occupant(now % table_.hyperperiod());
   if (!occupant) return std::nullopt;
-
-  const std::uint32_t idx = occupant->value < run_of_task_.size()
-                                ? run_of_task_[occupant->value]
-                                : kNoRun;
-  IOGUARD_CHECK_MSG(idx != kNoRun, "table references unknown task");
-  iodev::Completion done;
-  bool completed = false;
-  slot_used = step(now, idx, done, completed);
-  if (completed) return done;
-  return std::nullopt;
+  return step(now, run_of_task_[occupant->value], slot_used);
 }
 
 void PChannel::execute_reserved(Slot from, Slot to,
@@ -137,45 +110,45 @@ void PChannel::execute_reserved(Slot from, Slot to,
   if (reserved_runs_.empty() || from >= to) return;
   const Slot hp = table_.hyperperiod();
   const auto& raw = table_.raw();
-  // Walk the runs in order from the one at or after `from`, wrapping into
-  // the next hyperperiod.
-  Slot base = from - from % hp;
-  std::size_t i = run_after(from % hp);
+  // Resume from the cursor when `from` is at most one hyperperiod past it:
+  // the walk below skips the runs that end before `from`. Otherwise search.
+  Slot base = cursor_.base;
+  std::size_t i = cursor_.run;
+  if (from < cursor_.at || from - cursor_.at >= hp) {
+    base = from - from % hp;
+    i = run_after(from % hp);
+  }
+  // Walk the runs in order, wrapping into the next hyperperiod.
   for (;;) {
     if (i == reserved_runs_.size()) {
       i = 0;
       base += hp;
     }
-    const ReservedRun& run = reserved_runs_[i++];
+    const ReservedRun& run = reserved_runs_[i];
     const Slot begin = std::max(from, base + run.start);
     const Slot end = std::min(to, base + run.end);
     for (Slot s = begin; s < end; ++s) {
-      const std::uint32_t task = raw[static_cast<std::size_t>(s - base)];
-      const std::uint32_t idx =
-          task < run_of_task_.size() ? run_of_task_[task] : kNoRun;
-      IOGUARD_CHECK_MSG(idx != kNoRun, "table references unknown task");
-      iodev::Completion done;
-      bool completed = false;
-      if (step(s, idx, done, completed)) {
-        ++busy;
-      } else {
-        ++wasted;
-      }
-      if (completed) out.push_back(done);
+      bool used = false;
+      if (auto done = step(s, run_of_task_[raw[s - base]], used))
+        out.push_back(*done);
+      ++(used ? busy : wasted);
     }
-    if (base + run.end >= to) return;
+    if (base + run.end >= to) break;
+    ++i;
   }
+  cursor_ = Cursor{to, base, i};
 }
 
-bool PChannel::step(Slot now, std::uint32_t idx, iodev::Completion& done,
-                    bool& completed) {
+std::optional<iodev::Completion> PChannel::step(Slot now, std::uint32_t idx,
+                                                bool& used) {
   TaskRun& run = runs_[idx];
+  used = run.remaining != 0 || run.next_release <= now;
+  if (!used) {
+    ++wasted_slots_;  // startup transient of a wrapping job
+    return std::nullopt;
+  }
   if (run.remaining == 0) {
-    // Start the next job if it has been released by now.
-    if (run.next_release > now) {
-      ++wasted_slots_;  // startup transient of a wrapping job
-      return false;
-    }
+    // Start the next job: it has been released by now.
     run.current_release = run.next_release;
     run.next_release += run.spec.period;
     run.remaining = run.spec.wcet;
@@ -183,9 +156,10 @@ bool PChannel::step(Slot now, std::uint32_t idx, iodev::Completion& done,
   }
 
   ++busy_slots_;
-  if (--run.remaining != 0) return true;
+  if (--run.remaining != 0) return std::nullopt;  // mid-job: nothing to build
   ++jobs_completed_;
-  workload::Job job;
+  iodev::Completion done;
+  workload::Job& job = done.job;
   // High bit marks hypervisor-generated job ids, so they can never collide
   // with the dense trace-job ids of the R-channel.
   job.id = JobId{0x40000000u | static_cast<std::uint32_t>(next_job_seq_++)};
@@ -197,10 +171,8 @@ bool PChannel::step(Slot now, std::uint32_t idx, iodev::Completion& done,
   job.wcet = run.spec.wcet;
   job.payload_bytes = run.spec.payload_bytes;
 
-  done.job = job;
   done.enqueued_at = run.current_release;
   done.completed_at = now + 1;
-  completed = true;
   if (jitter_ != nullptr && idx < intended_.size() &&
       !intended_[idx].empty()) {
     const auto& sched = intended_[idx];
@@ -210,7 +182,7 @@ bool PChannel::step(Slot now, std::uint32_t idx, iodev::Completion& done,
     jitter_->record(JitterChannel::kPChannel, job.vm, job.task, intended,
                     done.completed_at);
   }
-  return true;
+  return done;
 }
 
 }  // namespace ioguard::core

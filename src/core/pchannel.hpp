@@ -41,19 +41,12 @@ class PChannel {
   /// channel executes nothing.
   [[nodiscard]] Slot next_reserved_slot(Slot from) const;
 
-  /// Free slots in the absolute range [0, t); free slots in [a, b) are
-  /// free_before(b) - free_before(a).
-  [[nodiscard]] Slot free_before(Slot t) const;
-
-  /// Absolute index of the free slot with 0-based free-slot number `index`,
-  /// so free_slot(free_before(t)) is the first free slot at or after t.
-  /// kNeverSlot when the table is all-reserved.
-  [[nodiscard]] Slot free_slot(Slot index) const;
-
   /// Bulk form of execute_slot: executes every reserved slot in the absolute
   /// range [from, to) in slot order, appending completions to `out`. Adds
   /// the slots that did work to `busy` and the startup-transient slots that
   /// executed nothing to `wasted`; free slots in the range are untouched.
+  /// A call resumes from where the previous one stopped; it searches sigma*
+  /// only when `from` is behind that or more than one hyperperiod past it.
   void execute_reserved(Slot from, Slot to, std::vector<iodev::Completion>& out,
                         Slot& busy, Slot& wasted);
 
@@ -81,34 +74,40 @@ class PChannel {
     std::uint32_t jobs_started = 0;
   };
 
-  /// A maximal run [start, end) of reserved slots within one hyperperiod,
-  /// with the number of free slots before it. The run list is sigma*'s
-  /// run-length encoding: it answers next_reserved_slot, free-slot counting
-  /// and run execution with one binary search each, without a per-slot
-  /// array (hyperperiods reach 2^24 slots).
+  /// A maximal run [start, end) of reserved slots within one hyperperiod:
+  /// sigma*'s run-length encoding, walked by execute_reserved and searched
+  /// by next_reserved_slot.
   struct ReservedRun {
     std::uint32_t start = 0;
     std::uint32_t end = 0;
-    std::uint32_t free_before = 0;
   };
 
   /// Index of the first run ending after within-period slot `phase`
   /// (reserved_runs_.size() when none does).
   [[nodiscard]] std::size_t run_after(Slot phase) const;
-  /// Executes reserved slot `now` for run `idx`; false when the slot passed
-  /// before the run's next release (startup transient). A completion lands
-  /// in `done` and sets `completed`.
-  bool step(Slot now, std::uint32_t idx, iodev::Completion& done,
-            bool& completed);
+  /// Executes reserved slot `now` for run `idx` and returns the completion
+  /// when the slot finishes a job. `used` is false when the slot passed
+  /// before the run's next release (startup transient).
+  std::optional<iodev::Completion> step(Slot now, std::uint32_t idx,
+                                        bool& used);
 
   workload::TaskSet tasks_;
   sched::TimeSlotTable table_;
   /// sigma*'s reserved runs within one hyperperiod, ascending (built once
   /// at construction; the table is immutable afterwards).
   std::vector<ReservedRun> reserved_runs_;
+  /// Executor cursor: the last execute_reserved stopped at slot `at`; every
+  /// run before run `run` of the hyperperiod starting at `base` ends by then.
+  struct Cursor {
+    Slot at = 0;
+    Slot base = 0;
+    std::size_t run = 0;
+  };
+  Cursor cursor_;
   // Run state, indexed through run_of_task_ (TaskId.value -> runs_ index,
   // kNoRun when the id is not pre-loaded here). The executor hits this once
-  // per reserved slot, so the lookup is a plain array read, not a hash probe.
+  // per reserved slot, so the lookup is a plain array read, not a hash probe;
+  // the constructor checks that every task the table reserves for has a run.
   static constexpr std::uint32_t kNoRun = 0xffffffffu;
   std::vector<TaskRun> runs_;
   std::vector<std::uint32_t> run_of_task_;
@@ -122,6 +121,33 @@ class PChannel {
   /// intended_[run][n % J] + (n / J) * hyperperiod. Built lazily on first
   /// set_jitter_recorder.
   std::vector<std::vector<Slot>> intended_;
+};
+
+/// sigma*'s free slots numbered in order, for VirtManager::advance: the
+/// free slots before each phase (H words) and the phase of each free slot
+/// (F words), so each lookup is one division and one load. A manager builds
+/// it on its first macro step; lock-step trials never allocate it.
+class FreeSlotIndex {
+ public:
+  explicit FreeSlotIndex(const sched::TimeSlotTable& table);
+
+  /// Free slots in the absolute range [0, t).
+  [[nodiscard]] Slot free_before(Slot t) const {
+    return (t / hyperperiod_) * phases_.size() + before_[t % hyperperiod_];
+  }
+  /// Absolute index of the free slot with 0-based free-slot number `index`,
+  /// so free_slot(free_before(t)) is the first free slot at or after t.
+  /// kNeverSlot when the table is all-reserved.
+  [[nodiscard]] Slot free_slot(Slot index) const {
+    if (phases_.empty()) return kNeverSlot;
+    return (index / phases_.size()) * hyperperiod_ +
+           phases_[index % phases_.size()];
+  }
+
+ private:
+  Slot hyperperiod_;
+  std::vector<std::uint32_t> before_;  ///< free slots before each phase
+  std::vector<std::uint32_t> phases_;  ///< phase of each free slot
 };
 
 }  // namespace ioguard::core

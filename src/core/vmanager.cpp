@@ -368,8 +368,10 @@ void VirtManager::advance(Slot from, Slot to,
   // repeats until one of its inputs changes; reserved slots only touch the
   // P-channel. Every counter a tick would bump is bumped here in bulk.
   // Free slots are addressed by their global free-slot number.
-  const Slot free_begin = pchannel_->free_before(from);
-  const Slot free_end = pchannel_->free_before(to);
+  if (!free_index_) free_index_.emplace(pchannel_->table());
+  const FreeSlotIndex& index = *free_index_;
+  const Slot free_begin = index.free_before(from);
+  const Slot free_end = index.free_before(to);
   Slot free_next = free_begin;
   for (Slot s = from; s < to;) {
     if (free_next == free_end) {
@@ -377,7 +379,7 @@ void VirtManager::advance(Slot from, Slot to,
       break;
     }
     refresh_stale_shadows();
-    const Slot slot = pchannel_->free_slot(free_next);
+    const Slot slot = index.free_slot(free_next);
     const auto grant = gsched_->select(slot, shadow_snapshot_);
     if (!grant) {
       // No R-channel work, and none can arrive before `to`.
@@ -394,11 +396,11 @@ void VirtManager::advance(Slot from, Slot to,
     if (grant->budgeted) k = std::min(k, gsched_->budget(vm));
     const Slot replenish_at = gsched_->next_replenish(shadow_snapshot_);
     const Slot free_bound = replenish_at < to
-                                ? pchannel_->free_before(replenish_at)
+                                ? index.free_before(replenish_at)
                                 : free_end;
     k = std::min(k, free_bound - free_next);
     free_next += k;
-    const Slot last = k == 1 ? slot : pchannel_->free_slot(free_next - 1);
+    const Slot last = k == 1 ? slot : index.free_slot(free_next - 1);
     run_pchannel(s, last, out);
     gsched_->commit(*grant, k);
     busy_slots_ += k;
@@ -410,7 +412,7 @@ void VirtManager::advance(Slot from, Slot to,
   }
   // A tick replenishes on every free slot; match its budgets at `to`.
   if (free_end > free_begin)
-    gsched_->replenish(pchannel_->free_slot(free_end - 1));
+    gsched_->replenish(index.free_slot(free_end - 1));
 }
 
 void VirtManager::refresh_stale_shadows() {

@@ -249,6 +249,9 @@ class VirtManager {
 
   iodev::DeviceSpec device_;
   std::unique_ptr<PChannel> pchannel_;
+  /// sigma*'s free-slot numbering for advance(); built on the first macro
+  /// step, so lock-step managers never allocate it.
+  std::optional<FreeSlotIndex> free_index_;
   std::vector<std::unique_ptr<IoPool>> pools_;
   std::unique_ptr<GSched> gsched_;
   RtTranslator request_translator_;

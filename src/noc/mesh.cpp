@@ -66,7 +66,10 @@ void Nic::tick(Cycle now) {
   }
 }
 
-bool Nic::idle() const { return tx_queue_.empty() && rx_partial_.empty(); }
+bool Nic::idle() const {
+  return tx_queue_.empty() && rx_partial_.empty() && to_router_.idle() &&
+         from_router_.idle();
+}
 
 Mesh::Mesh(const MeshConfig& config) : config_(config) {
   IOGUARD_CHECK(config.width > 0 && config.height > 0);
@@ -184,6 +187,8 @@ bool Mesh::idle() const {
     if (!r->idle()) return false;
   for (const auto& nic : nics_)
     if (!nic->idle()) return false;
+  for (const auto& link : links_)
+    if (!link->idle()) return false;
   return true;
 }
 

@@ -97,6 +97,9 @@ class Mesh {
   [[nodiscard]] Cycle zero_load_latency(NodeId src, NodeId dst,
                                         std::uint32_t payload_bytes) const;
 
+  /// No flit buffered, queued or on a wire, no credit in flight and no
+  /// output mid-packet: tick() would change nothing (round-robin pointers
+  /// move only when a head flit wins), so an idle mesh may skip cycles.
   [[nodiscard]] bool idle() const;
   [[nodiscard]] SampleSet& latencies() { return latencies_; }
   [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_; }

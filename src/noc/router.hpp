@@ -46,6 +46,11 @@ class Link {
 
   [[nodiscard]] bool busy() const { return flit_.has_value(); }
 
+  /// No flit and no credit in flight: a tick on either end reads nothing.
+  [[nodiscard]] bool idle() const {
+    return !flit_ && credits_now_ == 0 && credits_next_ == 0;
+  }
+
   /// Total flits this wire has carried (per-link telemetry counter).
   [[nodiscard]] std::uint64_t flits_carried() const { return flits_carried_; }
 

@@ -6,6 +6,7 @@
 // summary and Prometheus bytes.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -73,17 +74,26 @@ workload::TaskSet table_task(const sched::TimeSlotTable& table, Slot offset) {
 
 TEST(PChannelRuns, FreeSlotHelpersMatchBruteForce) {
   Rng rng(101);
+  // The all-free 1-slot table and an all-reserved (F = 0) table first, then
+  // random ones with the all-free and all-reserved extremes mixed in.
+  std::vector<sched::TimeSlotTable> tables{
+      sched::TimeSlotTable(1), sched::TimeSlotTable::from_slots({0, 0, 0})};
   for (int round = 0; round < 60; ++round) {
     const Slot h = rng.uniform_int(1, 40);
     const double p = round % 10 == 0 ? 0.0 : round % 10 == 1 ? 1.0
                                                              : rng.uniform();
-    const auto table = random_table(rng, h, p);
+    tables.push_back(random_table(rng, h, p));
+  }
+  for (std::size_t round = 0; round < tables.size(); ++round) {
+    const auto& table = tables[round];
+    const Slot h = table.hyperperiod();
     const core::PChannel pch(table_task(table, 0), table);
+    const core::FreeSlotIndex index(table);
     const Slot span = 3 * h + 2;
     Slot free_count = 0;
     std::vector<Slot> free_at;  // absolute free slots in [0, span)
     for (Slot t = 0; t < span; ++t) {
-      EXPECT_EQ(pch.free_before(t), free_count) << "round " << round;
+      EXPECT_EQ(index.free_before(t), free_count) << "round " << round;
       if (table.is_free_abs(t)) {
         free_at.push_back(t);
         ++free_count;
@@ -98,16 +108,17 @@ TEST(PChannelRuns, FreeSlotHelpersMatchBruteForce) {
           << "round " << round << " t " << t;
     }
     for (Slot i = 0; i < free_at.size(); ++i)
-      EXPECT_EQ(pch.free_slot(i), free_at[i]) << "round " << round;
+      EXPECT_EQ(index.free_slot(i), free_at[i]) << "round " << round;
     if (table.free_slots() == 0) {
-      EXPECT_EQ(pch.free_slot(0), kNeverSlot);
+      EXPECT_EQ(index.free_slot(0), kNeverSlot) << "round " << round;
+      EXPECT_EQ(index.free_slot(7), kNeverSlot) << "round " << round;
     }
   }
 }
 
 TEST(PChannelRuns, ExecuteReservedMatchesExecuteSlot) {
   Rng rng(202);
-  for (int round = 0; round < 60; ++round) {
+  for (int round = 0; round < 120; ++round) {
     const Slot h = rng.uniform_int(1, 40);
     const double p = round % 10 == 0 ? 1.0 : rng.uniform();
     const auto table = random_table(rng, h, p);
@@ -117,22 +128,43 @@ TEST(PChannelRuns, ExecuteReservedMatchesExecuteSlot) {
     core::PChannel bulk(ts, table);
     std::vector<Completion> want, got;
     Slot busy = 0, wasted = 0;
-    const Slot horizon = 5 * h + 3;
-    for (Slot s = 0; s < horizon; ++s) {
-      bool used = false;
-      if (auto done = ticked.execute_slot(s, used)) want.push_back(*done);
+    const Slot horizon = 8 * h + 3;
+    // A fresh channel's first call may start mid-hyperperiod or past it.
+    Slot s = 0;
+    switch (round % 3) {
+      case 1: s = rng.uniform_int(0, h - 1); break;
+      case 2: s = rng.uniform_int(h, 2 * h); break;
+      default: break;
     }
-    for (Slot s = 0; s < horizon;) {
+    // The reference ticks exactly the slots the bulk calls cover; between
+    // calls, a gap skips nothing, only free slots, or more than one
+    // hyperperiod, or the next call starts behind the last one's end.
+    while (s < horizon) {
       const Slot to = std::min<Slot>(horizon, s + rng.uniform_int(1, 2 * h));
+      for (Slot t = s; t < to; ++t) {
+        bool used = false;
+        if (auto done = ticked.execute_slot(t, used)) want.push_back(*done);
+      }
       bulk.execute_reserved(s, to, got, busy, wasted);
       s = to;
+      switch (rng.uniform_int(0, 4)) {
+        case 1:
+          for (Slot n = rng.uniform_int(1, h); n > 0 && table.is_free_abs(s);
+               --n)
+            ++s;
+          break;
+        case 2: s += rng.uniform_int(h + 1, 3 * h); break;
+        case 3: s -= rng.uniform_int(0, std::min<Slot>(s, 2 * h)); break;
+        default: break;
+      }
     }
-    expect_same_completions(got, want, "round " + std::to_string(round));
-    EXPECT_EQ(busy, ticked.busy_slots());
-    EXPECT_EQ(bulk.busy_slots(), ticked.busy_slots());
-    EXPECT_EQ(wasted, ticked.wasted_slots());
-    EXPECT_EQ(bulk.wasted_slots(), ticked.wasted_slots());
-    EXPECT_EQ(bulk.jobs_completed(), ticked.jobs_completed());
+    const std::string where = "round " + std::to_string(round);
+    expect_same_completions(got, want, where);
+    EXPECT_EQ(busy, ticked.busy_slots()) << where;
+    EXPECT_EQ(bulk.busy_slots(), ticked.busy_slots()) << where;
+    EXPECT_EQ(wasted, ticked.wasted_slots()) << where;
+    EXPECT_EQ(bulk.wasted_slots(), ticked.wasted_slots()) << where;
+    EXPECT_EQ(bulk.jobs_completed(), ticked.jobs_completed()) << where;
   }
 }
 
@@ -380,13 +412,15 @@ std::string trial_bytes(sys::TrialConfig tc) {
 }
 
 sys::TrialConfig matrix_trial(sys::SystemKind kind, GschedPolicy policy,
-                              std::size_t vms, double util) {
+                              std::size_t vms, double util,
+                              double preload = 0.5) {
   sys::TrialConfig tc;
   tc.kind = kind;
   tc.gsched_policy = policy;
   tc.workload.num_vms = vms;
   tc.workload.target_utilization = util;
-  tc.workload.preload_fraction = kind == sys::SystemKind::kIoGuard ? 0.5 : 0.0;
+  tc.workload.preload_fraction =
+      kind == sys::SystemKind::kIoGuard ? preload : 0.0;
   tc.min_jobs_per_task = 4;
   tc.trial_seed = 11 + vms;
   // Profile, stage and response-time collection do not force the lock-step
@@ -418,6 +452,20 @@ std::string system_name(sys::SystemKind kind) {
   return "Unknown";
 }
 
+void expect_matrix_cell(sys::SystemKind kind, GschedPolicy policy,
+                        std::size_t vms, double preload) {
+  for (const double util : {0.05, 0.4, 0.8, 0.95, 1.2}) {
+    expect_modes_agree(matrix_trial(kind, policy, vms, util, preload),
+                       std::string(sys::to_string(kind)) + " vms " +
+                           std::to_string(vms) + " util " +
+                           std::to_string(util) + " preload " +
+                           std::to_string(preload));
+  }
+}
+
+const auto kMatrixVms = ::testing::Values(std::size_t{1}, std::size_t{2},
+                                          std::size_t{4}, std::size_t{8});
+
 // Every (system, policy, VM count) cell is its own case, so a divergence
 // names the configuration that produced it.
 class RunnerMatrix
@@ -426,23 +474,36 @@ class RunnerMatrix
 
 TEST_P(RunnerMatrix, EventMatchesSteppedOnSummaryAndPrometheusBytes) {
   const auto [kind, policy, vms] = GetParam();
-  for (const double util : {0.05, 0.4, 0.8, 0.95, 1.2}) {
-    expect_modes_agree(matrix_trial(kind, policy, vms, util),
-                       std::string(sys::to_string(kind)) + " vms " +
-                           std::to_string(vms) + " util " +
-                           std::to_string(util));
-  }
+  expect_matrix_cell(kind, policy, vms, 0.5);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     SystemsPoliciesVms, RunnerMatrix,
-    ::testing::Combine(kSystems, kPolicies,
-                       ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}, std::size_t{8})),
+    ::testing::Combine(kSystems, kPolicies, kMatrixVms),
     [](const auto& info) {
       return system_name(std::get<0>(info.param)) + "_" +
              policy_name(std::get<1>(info.param)) + "_vms" +
              std::to_string(std::get<2>(info.param));
+    });
+
+// The I/O-GUARD cells at Fig. 7's I/O-GUARD-40 and I/O-GUARD-70 preloads,
+// which shape sigma*'s runs and free slots differently from 0.5.
+class IoGuardPreloadMatrix
+    : public ::testing::TestWithParam<
+          std::tuple<GschedPolicy, std::size_t, double>> {};
+
+TEST_P(IoGuardPreloadMatrix, EventMatchesSteppedOnSummaryAndPrometheusBytes) {
+  const auto [policy, vms, preload] = GetParam();
+  expect_matrix_cell(sys::SystemKind::kIoGuard, policy, vms, preload);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig7Preloads, IoGuardPreloadMatrix,
+    ::testing::Combine(kPolicies, kMatrixVms, ::testing::Values(0.4, 0.7)),
+    [](const auto& info) {
+      return policy_name(std::get<0>(info.param)) + "_vms" +
+             std::to_string(std::get<1>(info.param)) + "_preload" +
+             std::to_string(std::lround(100 * std::get<2>(info.param)));
     });
 
 class RunnerEdgeCases

@@ -2,8 +2,13 @@
 // case-study builder, arrival traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/check.hpp"
 #include "workload/arrivals.hpp"
@@ -216,6 +221,91 @@ TEST(Arrivals, SortedAndDenseJobIds) {
     EXPECT_EQ(trace[i].id.value, i);
     if (i) {
       EXPECT_LE(trace[i - 1].release, trace[i].release);
+    }
+  }
+}
+
+/// The trace generator as a per-task loop plus a global sort by (release,
+/// task id): the reference the heap merge must reproduce job for job.
+std::vector<Job> sorted_reference_trace(const TaskSet& tasks,
+                                        const ArrivalConfig& config) {
+  Rng rng(config.seed);
+  std::vector<Job> jobs;
+  for (const auto& t : tasks.tasks()) {
+    Rng task_rng = rng.fork(t.id.value);
+    Slot release = t.kind == TaskKind::kPredefined ? t.offset : Slot{0};
+    while (release < config.horizon) {
+      Job j;
+      j.task = t.id;
+      j.vm = t.vm;
+      j.device = t.device;
+      j.release = release;
+      j.absolute_deadline = release + t.deadline;
+      const double frac =
+          task_rng.uniform(config.exec_frac_lo, config.exec_frac_hi);
+      j.wcet = std::max<Slot>(
+          1, static_cast<Slot>(std::llround(frac * static_cast<double>(t.wcet))));
+      j.payload_bytes = t.payload_bytes;
+      jobs.push_back(j);
+      const double slack =
+          t.kind == TaskKind::kPredefined || config.jitter_frac <= 0.0
+              ? 0.0
+              : task_rng.exponential(config.jitter_frac *
+                                     static_cast<double>(t.period));
+      release += t.period + static_cast<Slot>(std::llround(slack));
+    }
+  }
+  std::sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+    return a.release != b.release ? a.release < b.release
+                                  : a.task.value < b.task.value;
+  });
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    jobs[i].id = JobId{static_cast<std::uint32_t>(i)};
+  return jobs;
+}
+
+TEST(Arrivals, MergeMatchesSortedReference) {
+  Rng rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    // Sparse, shuffled task ids; a mix of pre-defined tasks with offsets
+    // (some past the horizon) and sporadic run-time tasks.
+    TaskSet ts;
+    const auto n = rng.uniform_int(1, 12);
+    std::vector<std::uint32_t> ids;
+    std::uint32_t next_id = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      next_id += static_cast<std::uint32_t>(rng.uniform_int(1, 3));
+      ids.push_back(next_id);
+    }
+    for (std::size_t i = ids.size(); i > 1; --i)
+      std::swap(ids[i - 1], ids[rng.index(i)]);
+    for (const std::uint32_t id : ids) {
+      const Slot period = rng.uniform_int(1, 60);
+      auto t = make_task(id, period, rng.uniform_int(1, period), period,
+                         id % 3, id % 2);
+      if (rng.bernoulli(0.4)) {
+        t.kind = TaskKind::kPredefined;
+        t.offset = rng.uniform_int(0, 2 * period);
+      }
+      ts.add(t);
+    }
+    ArrivalConfig cfg;
+    cfg.horizon = rng.uniform_int(1, 800);
+    cfg.jitter_frac = std::array{0.0, 0.1, 0.2, 0.6}[rng.index(4)];
+    cfg.exec_frac_lo = rng.uniform(0.3, 1.0);
+    cfg.exec_frac_hi = rng.uniform(cfg.exec_frac_lo, 1.0);
+    cfg.seed = rng();
+    const auto got = generate_trace(ts, cfg);
+    const auto want = sorted_reference_trace(ts, cfg);
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const Job& a = got[i];
+      const Job& b = want[i];
+      EXPECT_EQ(std::tie(a.id, a.task, a.vm, a.device, a.release,
+                         a.absolute_deadline, a.wcet, a.payload_bytes),
+                std::tie(b.id, b.task, b.vm, b.device, b.release,
+                         b.absolute_deadline, b.wcet, b.payload_bytes))
+          << "round " << round << " job " << i;
     }
   }
 }
