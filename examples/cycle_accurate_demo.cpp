@@ -44,23 +44,25 @@ Status run(const CliArgs& args) {
   for (SystemKind kind : {SystemKind::kLegacy, SystemKind::kRtXen,
                           SystemKind::kBlueVisor, SystemKind::kIoGuard}) {
     CosimConfig cfg;
-    cfg.kind = kind;
-    cfg.workload.num_vms = vms;
-    cfg.workload.target_utilization = util;
-    cfg.workload.preload_fraction = 0.7;
-    cfg.horizon_slots = slots;
+    cfg.trial.kind = kind;
+    cfg.trial.workload.num_vms = vms;
+    cfg.trial.workload.target_utilization = util;
+    cfg.trial.workload.preload_fraction = 0.7;
+    cfg.trial.horizon = slots;
+    cfg.trial.collect_response_times = true;
     cfg.background_rate = bg;
-    auto r = run_cosim(cfg);
+    const CosimResult r = run_cosim(cfg);
+    const TrialResult& t = r.trial;
 
     std::string req = "-";
     if (!r.request_latency_cycles.empty())
       req = fmt_double(r.request_latency_cycles.percentile(50), 0) + " / " +
             fmt_double(r.request_latency_cycles.percentile(99), 0);
     std::string resp = "-";
-    if (!r.response_slots.empty())
-      resp = fmt_double(r.response_slots.percentile(99) * 10, 0);
-    table.add(std::string(to_string(kind)), r.jobs_counted, r.jobs_on_time,
-              r.critical_misses, r.dropped, req, resp,
+    if (!t.response_slots.empty())
+      resp = fmt_double(t.response_slots.percentile(99) * 10, 0);
+    table.add(std::string(to_string(kind)), t.jobs_counted, t.jobs_on_time,
+              t.critical_misses, t.dropped, req, resp,
               r.noc_packets_delivered);
   }
   table.render(std::cout);

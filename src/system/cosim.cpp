@@ -1,250 +1,134 @@
 #include "system/cosim.hpp"
 
-#include <map>
-#include <memory>
-
 #include "common/check.hpp"
-#include "common/rng.hpp"
-#include "core/hypervisor.hpp"
-#include "iodev/fifo_controller.hpp"
-#include "noc/mesh.hpp"
-#include "system/runner.hpp"
-#include "system/stages.hpp"
-#include "workload/arrivals.hpp"
 
 namespace ioguard::sys {
 
-CosimResult run_cosim(const CosimConfig& config) {
-  // ---- Workload (same builder as the analytic runner). -------------------
-  const TrialWorkload seeded =
-      trial_workload(config.workload, config.kind, config.seed);
-  const workload::CaseStudyConfig& wl_cfg = seeded.config;
-  const auto wl = workload::build_case_study(wl_cfg);
+namespace {
 
-  workload::ArrivalConfig arr;
-  arr.horizon = config.horizon_slots;
-  arr.seed = seeded.arrival_seed;
-  const auto trace = workload::generate_trace(wl.tasks, arr);
+NodeId vm_node(VmId vm) { return NodeId{vm.value}; }
+NodeId device_node(DeviceId dev) { return NodeId{20 + dev.value}; }
 
-  std::vector<workload::TaskClass> task_class(wl.tasks.size());
-  for (const auto& t : wl.tasks.tasks()) task_class[t.id.value] = t.cls;
-  auto is_critical = [&](TaskId id) {
-    return task_class[id.value] != workload::TaskClass::kSynthetic;
-  };
+noc::Packet io_packet(noc::PacketKind kind, NodeId src, NodeId dst,
+                      std::uint32_t payload_bytes, JobId job) {
+  noc::Packet p;
+  p.src = src;
+  p.dst = dst;
+  p.kind = kind;
+  p.priority = 1;
+  p.payload_bytes = payload_bytes;
+  p.tag = job.value;
+  return p;
+}
 
-  // ---- Platform: 5x5 mesh; VMs row-major from node 0, devices on the last
-  // row (nodes 20..23), mirroring the paper's floorplan. -------------------
-  noc::MeshConfig mesh_cfg;
-  noc::Mesh mesh(mesh_cfg);
-  const std::size_t num_vms = wl_cfg.num_vms;
-  IOGUARD_CHECK_MSG(num_vms <= 16, "co-sim floorplan hosts up to 16 VMs");
-  auto vm_node = [&](VmId vm) {
-    return NodeId{static_cast<std::uint32_t>(vm.value)};
-  };
-  auto device_node = [&](DeviceId dev) {
-    return NodeId{static_cast<std::uint32_t>(20 + dev.value)};
-  };
+}  // namespace
 
-  const Calibration& cal = config.cal;
-  const Cycle cps = cal.cycles_per_slot;
-
-  // ---- Back-ends. ---------------------------------------------------------
-  std::vector<iodev::FifoController> fifos;
-  std::unique_ptr<core::Hypervisor> hyp;
+MeshTransit::MeshTransit(const TrialConfig& config, double background_rate)
+    : mesh_(noc::MeshConfig{}),
+      cps_(config.cal.cycles_per_slot),
+      num_vms_(config.workload.num_vms),
+      background_rate_(background_rate),
+      background_rng_(config.trial_seed ^ 0x5151) {
+  IOGUARD_CHECK_MSG(num_vms_ <= 16, "co-sim floorplan hosts up to 16 VMs");
   if (config.kind == SystemKind::kIoGuard) {
-    core::HypervisorConfig hc;
-    hc.num_vms = num_vms;
-    hc.pool_capacity = cal.pool_capacity;
-    hc.dispatch_overhead_slots = cal.dispatch_overhead_slots;
-    hyp = std::make_unique<core::Hypervisor>(wl, hc);
-  } else {
-    for (std::size_t d = 0; d < workload::kCaseStudyDeviceCount; ++d)
-      fifos.emplace_back(cal.device_fifo_capacity,
-                         cal.dispatch_overhead_slots);
+    link_.emplace(config.cal, config.kind, num_vms_,
+                  config.workload.target_utilization, config.trial_seed);
+    return;
   }
-
-  std::vector<IssueStage> issue;
-  for (std::size_t v = 0; v < num_vms; ++v)
-    issue.emplace_back(issue_cycles(cal, config.kind), cps);
-  std::unique_ptr<VmmStage> vmm;
-  if (config.kind == SystemKind::kRtXen)
-    vmm = std::make_unique<VmmStage>(cal, num_vms, config.seed ^ 0xabc);
-
-  // ---- Accounting. --------------------------------------------------------
-  CosimResult result;
-  struct Outcome {
-    Slot deadline = 0;
-    bool counted = false;
-    bool critical = false;
-    bool on_time = false;
-    Slot release = 0;
-  };
-  std::vector<Outcome> outcomes(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& j = trace[i];
-    const bool pchannel_job = hyp && hyp->pchannel_task(j.task);
-    outcomes[i].deadline = j.absolute_deadline;
-    outcomes[i].counted =
-        !pchannel_job && j.absolute_deadline <= config.horizon_slots;
-    outcomes[i].critical = is_critical(j.task);
-    outcomes[i].release = j.release;
-  }
-  // A P-channel job (released by the Time Slot Table under a synthetic id)
-  // is tallied as it completes, as sys::run_trial does; a trace job at the
-  // horizon, from whether its completion met the deadline.
-  auto tally = [&](bool on_time, bool critical) {
-    ++result.jobs_counted;
-    if (on_time) {
-      ++result.jobs_on_time;
-    } else if (critical) {
-      ++result.critical_misses;
-    }
-  };
-  auto record_final = [&](const workload::Job& j, Slot finish) {
-    if (hyp && hyp->pchannel_task(j.task)) {
-      if (j.absolute_deadline > config.horizon_slots) return;
-      const bool critical = is_critical(j.task);
-      tally(finish <= j.absolute_deadline, critical);
-      if (critical)
-        result.response_slots.add(static_cast<double>(finish - j.release));
-      return;
-    }
-    if (j.id.value >= outcomes.size()) return;
-    Outcome& o = outcomes[j.id.value];
-    if (!o.counted) return;
-    if (finish <= o.deadline) o.on_time = true;
-    if (o.critical)
-      result.response_slots.add(static_cast<double>(finish - o.release));
-  };
-
-  // In-flight jobs keyed by packet tag (== trace job id).
-  std::map<std::uint64_t, workload::Job> in_flight;
-
-  // Request packets deliver into the device FIFO / pending response packets
-  // deliver back to the VM nodes.
-  for (std::size_t d = 0; d < workload::kCaseStudyDeviceCount; ++d) {
-    mesh.set_delivery_handler(
-        device_node(DeviceId{static_cast<std::uint32_t>(d)}),
-        [&, d](const noc::Packet& p, Cycle now) {
+  for (std::uint32_t d = 0; d < workload::kCaseStudyDeviceCount; ++d) {
+    mesh_.set_delivery_handler(
+        device_node(DeviceId{d}), [this](const noc::Packet& p, Cycle now) {
           if (p.kind != noc::PacketKind::kIoRequest) return;
-          result.request_latency_cycles.add(static_cast<double>(p.latency()));
-          const auto it = in_flight.find(p.tag);
-          IOGUARD_CHECK(it != in_flight.end());
-          const Slot slot = now / cps;
-          if (!fifos[d].enqueue(it->second, slot)) ++result.dropped;
+          request_latency_.add(static_cast<double>(p.latency()));
+          const auto it = requests_.find(p.tag);
+          IOGUARD_CHECK(it != requests_.end());
+          arrived_.push_back(Arrived{now / cps_ + 1, it->second});
+          requests_.erase(it);
         });
   }
-  for (std::size_t v = 0; v < num_vms; ++v) {
-    mesh.set_delivery_handler(
-        vm_node(VmId{static_cast<std::uint32_t>(v)}),
-        [&](const noc::Packet& p, Cycle now) {
+  for (std::uint32_t v = 0; v < num_vms_; ++v) {
+    mesh_.set_delivery_handler(
+        vm_node(VmId{v}), [this](const noc::Packet& p, Cycle now) {
           if (p.kind != noc::PacketKind::kIoResponse) return;
-          const auto it = in_flight.find(p.tag);
-          IOGUARD_CHECK(it != in_flight.end());
-          record_final(it->second, now / cps + 1);
-          in_flight.erase(it);
+          const auto it = responses_.find(p.tag);
+          IOGUARD_CHECK(it != responses_.end());
+          returned_.push_back(Returned{it->second, now / cps_ + 1});
+          responses_.erase(it);
         });
   }
+}
 
-  // ---- Main cycle loop. ----------------------------------------------------
-  Rng bg_rng(config.seed ^ 0x5151);
-  std::vector<workload::Job> issued, vmm_done;
-  std::vector<iodev::Completion> completions;
-  std::size_t next_release = 0;
-  const Cycle horizon_cycles = static_cast<Cycle>(config.horizon_slots) * cps;
+void MeshTransit::send_request(const workload::Job& job, Slot now) {
+  if (link_) return link_->send_request(job, now);
+  requests_.emplace(job.id.value, job);
+  // A request carries a 32-byte command descriptor.
+  mesh_.send(io_packet(noc::PacketKind::kIoRequest, vm_node(job.vm),
+                       device_node(job.device), 32, job.id),
+             now * cps_);
+}
 
-  // IOGUARD_LINT_ALLOW(LNT009: cycle-accurate; only idle-mesh cycles skip)
-  for (Cycle now = 0; now < horizon_cycles;) {
-    if (now % cps == 0) {
-      const Slot slot = now / cps;
+Slot MeshTransit::next_arrival(Slot now) const {
+  if (link_) return link_->next_arrival(now);
+  if (!requests_.empty()) return now + 1;
+  return arrived_.empty() ? kNeverSlot : arrived_.front().arrival;
+}
 
-      // (a) releases into the per-VM issue stages.
-      while (next_release < trace.size() &&
-             trace[next_release].release <= slot) {
-        const auto& j = trace[next_release++];
-        const bool pchannel_job = hyp && hyp->pchannel_task(j.task);
-        if (!pchannel_job) issue[j.vm.value].push(j);
-      }
+bool MeshTransit::busy() const {
+  if (link_) return link_->busy();
+  return !requests_.empty() || !arrived_.empty() || !responses_.empty();
+}
 
-      // (b) issue; requests become packets (baselines) or direct submits.
-      issued.clear();
-      for (auto& stage : issue) stage.tick_slot(issued);
-      if (vmm) {
-        for (const auto& j : issued) vmm->push(j, slot);
-        issued.clear();
-        vmm->tick_slot(slot, issued);
-      }
-      for (const auto& j : issued) {
-        if (hyp) {
-          if (!hyp->submit(j, slot)) ++result.dropped;
-        } else {
-          in_flight[j.id.value] = j;
-          noc::Packet p;
-          p.src = vm_node(j.vm);
-          p.dst = device_node(j.device);
-          p.kind = noc::PacketKind::kIoRequest;
-          p.priority = 1;
-          p.payload_bytes = 32;  // command descriptor
-          p.tag = j.id.value;
-          mesh.send(p, now);
-        }
-      }
+void MeshTransit::queue_response(const iodev::Completion& done) {
+  const workload::Job& job = done.job;
+  responses_.emplace(job.id.value, done);
+  to_send_.push_back(Outgoing{
+      (done.completed_at - 1) * cps_,
+      io_packet(noc::PacketKind::kIoResponse, device_node(job.device),
+                vm_node(job.vm), job.payload_bytes, job.id)});
+}
 
-      // (c) back-ends advance one slot; completions return as packets
-      //     (baselines) or complete directly (I/O-GUARD's pass-through
-      //     response channel + dedicated link).
-      completions.clear();
-      if (hyp) {
-        hyp->tick_slot(slot, completions);
-        for (const auto& done : completions)
-          record_final(done.job, done.completed_at);
-      } else {
-        for (std::size_t d = 0; d < fifos.size(); ++d) {
-          if (auto done = fifos[d].tick_slot(slot)) {
-            noc::Packet p;
-            p.src = device_node(DeviceId{static_cast<std::uint32_t>(d)});
-            p.dst = vm_node(done->job.vm);
-            p.kind = noc::PacketKind::kIoResponse;
-            p.priority = 1;
-            p.payload_bytes = done->job.payload_bytes;
-            p.tag = done->job.id.value;
-            mesh.send(p, now);
-          }
-        }
+void MeshTransit::run_mesh(Slot from, Slot to) {
+  const Cycle end = to * cps_;
+  std::size_t next = 0;  // into to_send_, which is in send-cycle order
+  for (Cycle now = from * cps_; now < end;) {
+    if (background_rate_ <= 0.0 && mesh_.idle()) {
+      // Nothing in flight and nothing injected before the next response:
+      // ticking an idle mesh changes nothing, so jump there.
+      const Cycle at = next < to_send_.size() ? to_send_[next].at : end;
+      if (at > now) {
+        now = at;
+        continue;
       }
     }
-
-    // (d) background traffic (memory/kernel packets sharing the mesh).
-    if (config.background_rate > 0.0) {
-      for (std::uint32_t n = 0; n < num_vms; ++n) {
-        if (bg_rng.bernoulli(config.background_rate)) {
-          noc::Packet p;
-          p.src = NodeId{n};
-          p.dst = NodeId{static_cast<std::uint32_t>(
-              16 + bg_rng.index(4))};  // memory nodes on row 3
-          p.kind = noc::PacketKind::kBackground;
-          p.priority = 5;
-          p.payload_bytes = 64;
-          mesh.send(p, now);
-        }
-      }
-    }
-
-    mesh.tick(now);
-    // Without background traffic, new work enters only at slot boundaries,
-    // and ticking an idle mesh changes nothing: jump to the next boundary.
-    // (I/O-GUARD's dedicated links keep its mesh idle throughout.)
-    if (config.background_rate <= 0.0 && mesh.idle()) {
-      now = (now / cps + 1) * cps;
-    } else {
-      ++now;
-    }
+    for (; next < to_send_.size() && to_send_[next].at <= now; ++next)
+      mesh_.send(to_send_[next].packet, now);
+    if (background_rate_ > 0.0) inject_background(now);
+    mesh_.tick(now);
+    ++now;
   }
+  to_send_.clear();
+}
 
-  // ---- Tally. ---------------------------------------------------------------
-  for (const auto& o : outcomes)
-    if (o.counted) tally(o.on_time, o.critical);
-  result.noc_packets_delivered = mesh.packets_delivered();
+void MeshTransit::inject_background(Cycle now) {
+  for (std::uint32_t n = 0; n < num_vms_; ++n) {
+    if (!background_rng_.bernoulli(background_rate_)) continue;
+    noc::Packet p;
+    p.src = NodeId{n};
+    // Memory nodes on row 3.
+    p.dst = NodeId{static_cast<std::uint32_t>(16 + background_rng_.index(4))};
+    p.kind = noc::PacketKind::kBackground;
+    p.priority = 5;
+    p.payload_bytes = 64;
+    mesh_.send(p, now);
+  }
+}
+
+CosimResult run_cosim(const CosimConfig& config) {
+  MeshTransit transit(config.trial, config.background_rate);
+  CosimResult result;
+  result.trial = run_pipeline(config.trial, transit);
+  result.request_latency_cycles = transit.request_latency_cycles();
+  result.noc_packets_delivered = transit.packets_delivered();
   return result;
 }
 

@@ -4,12 +4,12 @@
 #include <iomanip>
 #include <memory>
 #include <ostream>
-#include <queue>
 #include <string>
 
 #include "common/check.hpp"
 #include "faults/injector.hpp"
 #include "iodev/fifo_controller.hpp"
+#include "system/cosim.hpp"
 #include "system/stages.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/hdr_histogram.hpp"
@@ -18,19 +18,6 @@
 namespace ioguard::sys {
 
 namespace {
-
-/// A request in flight between pipeline stages, due at `arrival`.
-struct InFlight {
-  Slot arrival;
-  workload::Job job;
-};
-struct ArriveLater {
-  bool operator()(const InFlight& a, const InFlight& b) const {
-    return a.arrival != b.arrival
-               ? a.arrival > b.arrival
-               : a.job.id.value > b.job.id.value;
-  }
-};
 
 /// End-of-trial export into the caller's MetricsRegistry. Counters add up
 /// across trials sharing one registry; gauges keep the last trial's value.
@@ -244,7 +231,8 @@ TrialWorkload trial_workload(workload::CaseStudyConfig base, SystemKind kind,
   return TrialWorkload{std::move(base), trial_seed * 2654435761ULL + 99};
 }
 
-TrialResult run_trial(const TrialConfig& config) {
+template <class Transit>
+TrialResult run_pipeline(const TrialConfig& config, Transit& transit) {
   // ---- 1. Build the workload and the release trace. ----------------------
   const TrialWorkload seeded =
       trial_workload(config.workload, config.kind, config.trial_seed);
@@ -287,13 +275,6 @@ TrialResult run_trial(const TrialConfig& config) {
   std::unique_ptr<VmmStage> vmm;
   if (config.kind == SystemKind::kRtXen)
     vmm = std::make_unique<VmmStage>(cal, num_vms, config.trial_seed ^ 0xabc);
-
-  TransitModel request_transit(cal, config.kind, num_vms,
-                               wl_cfg.target_utilization,
-                               config.trial_seed ^ 0x111);
-  TransitModel response_transit(cal, config.kind, num_vms,
-                                wl_cfg.target_utilization,
-                                config.trial_seed ^ 0x222);
 
   // Fault injector: only constructed for a non-empty plan so the fault-free
   // path takes zero extra branches inside the components (null injector).
@@ -404,12 +385,11 @@ TrialResult run_trial(const TrialConfig& config) {
       v[id.value] = now;
   };
 
-  // The one completion path, for every system: the response crosses the
-  // transit link, then the job's deadline outcome, response time and stage
-  // latencies are recorded.
-  auto complete = [&](const iodev::Completion& done) {
+  // The one completion path, for every system: once the response has
+  // crossed the transit stage (reaching the VM at `finish`), the job's
+  // deadline outcome, response time and stage latencies are recorded.
+  auto complete = [&](const iodev::Completion& done, Slot finish) {
     const workload::Job& job = done.job;
-    const Slot finish = done.completed_at + response_transit.sample();
     if (hyp && hyp->pchannel_task(job.task)) {
       if (job.absolute_deadline <= horizon)
         tally(job.task, finish <= job.absolute_deadline, job.payload_bytes);
@@ -440,10 +420,6 @@ TrialResult run_trial(const TrialConfig& config) {
 
   // ---- 4. Slot-level main loop. -------------------------------------------
   // Pre-size the scratch buffers so the per-slot loop never reallocates.
-  std::vector<InFlight> transit_storage;
-  transit_storage.reserve(64);
-  std::priority_queue<InFlight, std::vector<InFlight>, ArriveLater> transit_q(
-      ArriveLater{}, std::move(transit_storage));
   std::vector<workload::Job> issued, vmm_done;
   issued.reserve(num_vms);
   vmm_done.reserve(num_vms);
@@ -481,7 +457,7 @@ TrialResult run_trial(const TrialConfig& config) {
       if (vmm) {
         vmm->push(j, now);
       } else {
-        transit_q.push(InFlight{now + request_transit.sample(), j});
+        transit.send_request(j, now);
       }
     }
     if (vmm) {
@@ -489,16 +465,14 @@ TrialResult run_trial(const TrialConfig& config) {
       vmm->tick_slot(now, vmm_done);
       for (const auto& j : vmm_done) {
         stamp(t_vmm, j.id, now);
-        transit_q.push(InFlight{now + request_transit.sample(), j});
+        transit.send_request(j, now);
       }
     }
 
-    if (config.collect_profile && !transit_q.empty()) ++transit_busy;
+    if (config.collect_profile && transit.busy()) ++transit_busy;
 
     // (c) arrivals reach the device back-end.
-    while (!transit_q.empty() && transit_q.top().arrival <= now) {
-      const workload::Job j = transit_q.top().job;
-      transit_q.pop();
+    transit.deliver_requests(now, [&](const workload::Job& j) {
       // Interconnect fault surface: a fired kLinkFlitLoss eats the request
       // packet in transit -- it never reaches the back-end, so the job can
       // only miss (mirrors a whole-packet drop in the NoC model).
@@ -515,7 +489,7 @@ TrialResult run_trial(const TrialConfig& config) {
           ev.aux = static_cast<std::uint32_t>(faults::FaultKind::kLinkFlitLoss);
           config.trace->record(ev);
         }
-        continue;
+        return;
       }
       stamp(t_arrive, j.id, now);
       bool accepted;
@@ -525,11 +499,11 @@ TrialResult run_trial(const TrialConfig& config) {
         accepted = fifos[j.device.value].enqueue(j, now);
       }
       if (!accepted) ++result.dropped;  // overflow: job is lost -> miss
-    }
+    });
 
     // (d) the next decision point: releases and arrivals are drained
     // through `now`, so with the software stages empty nothing reaches the
-    // back-end before the next release or transit arrival.
+    // back-end before the next release or the transit stage's next arrival.
     Slot next = now + 1;
     if (!config.stepped && (!vmm || vmm->idle()) &&
         std::all_of(issue.begin(), issue.end(),
@@ -537,7 +511,7 @@ TrialResult run_trial(const TrialConfig& config) {
       next = horizon;
       if (next_release < trace.size())
         next = std::min(next, trace[next_release].release);
-      if (!transit_q.empty()) next = std::min(next, transit_q.top().arrival);
+      next = std::min(next, transit.next_arrival(now));
     }
 
     // (e) device back-ends advance through the stretch.
@@ -554,11 +528,13 @@ TrialResult run_trial(const TrialConfig& config) {
     } else {
       iodev::advance_all(fifos, now, next, fifo_streams, completions);
     }
-    for (const auto& done : completions) complete(done);
+    // (f) responses cross the transit stage back to the VMs.
+    for (const auto& done : completions) transit.send_response(done, complete);
+    transit.advance(now, next, complete);
 
-    // In-flight packets keep the transit stage "busy" for the profiler
+    // In-flight requests keep the transit stage "busy" for the profiler
     // across the stretch (its composition cannot change in between).
-    if (config.collect_profile && !transit_q.empty())
+    if (config.collect_profile && transit.busy())
       transit_busy += next - now - 1;
     now = next;
   }
@@ -676,6 +652,16 @@ TrialResult run_trial(const TrialConfig& config) {
       telemetry::register_span_metrics(*config.trace, *config.metrics);
   }
   return result;
+}
+
+template TrialResult run_pipeline(const TrialConfig&, AnalyticTransit&);
+template TrialResult run_pipeline(const TrialConfig&, MeshTransit&);
+
+TrialResult run_trial(const TrialConfig& config) {
+  AnalyticTransit transit(config.cal, config.kind, config.workload.num_vms,
+                          config.workload.target_utilization,
+                          config.trial_seed);
+  return run_pipeline(config, transit);
 }
 
 namespace {

@@ -189,7 +189,7 @@ struct TrialResult {
 /// What a trial draws from its seed: the case-study config, reseeded and
 /// without pre-defined tasks on the FIFO baselines (they have no P-channel),
 /// and the seed of its arrival trace. Every path that rebuilds a trial's
-/// workload (run_trial, run_cosim, ioguard_cli's --verify/--export-tasks)
+/// workload (run_pipeline, ioguard_cli's --verify/--export-tasks)
 /// derives it here.
 struct TrialWorkload {
   workload::CaseStudyConfig config;
@@ -201,6 +201,14 @@ struct TrialWorkload {
 
 /// Runs one trial. Deterministic in (config).
 TrialResult run_trial(const TrialConfig& config);
+
+/// The one trial loop -- release -> issue -> VMM -> transit -> back-end ->
+/// tally, with one job ledger -- compiled once per transit stage (no virtual
+/// call per job): run_trial passes an AnalyticTransit (system/stages.hpp),
+/// run_cosim a MeshTransit (system/cosim.hpp). Both are instantiated in
+/// runner.cpp; the stage must be built from the same `config`.
+template <class Transit>
+TrialResult run_pipeline(const TrialConfig& config, Transit& transit);
 
 /// Machine-readable run summary (one JSON object): configuration echo,
 /// outcome counters, and -- when collected -- response-time percentiles and

@@ -9,15 +9,20 @@
 //                   ops are admitted at scheduling-quantum granularity.
 //  TransitModel  -- transport latency samplers: contended NoC for the
 //                   baselines, dedicated point-to-point link for I/O-GUARD.
+//  AnalyticTransit -- the trial loop's transit stage built on two
+//                   TransitModels (sys::MeshTransit is the cycle-accurate
+//                   alternative, system/cosim.hpp).
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <optional>
+#include <queue>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "iodev/fifo_controller.hpp"
 #include "system/config.hpp"
 #include "workload/task.hpp"
 
@@ -101,6 +106,67 @@ class TransitModel {
   double contention_mean_;  ///< exponential tail mean, cycles
   Cycle cycles_per_slot_;
   Rng rng_;
+};
+
+/// The trial loop's analytic transit stage (sys::run_pipeline): requests and
+/// responses draw their latencies from two TransitModel streams; requests
+/// wait in an arrival-ordered queue.
+class AnalyticTransit {
+ public:
+  AnalyticTransit(const Calibration& cal, SystemKind kind, std::size_t num_vms,
+                  double device_load, std::uint64_t trial_seed)
+      : request_(cal, kind, num_vms, device_load, trial_seed ^ 0x111),
+        response_(cal, kind, num_vms, device_load, trial_seed ^ 0x222) {}
+
+  void send_request(const workload::Job& job, Slot now) {
+    queue_.push(InFlight{now + request_.sample(), job});
+  }
+
+  /// Hands every request that has arrived by `now` to `arrive`, in
+  /// (arrival slot, job id) order.
+  template <class Arrive>
+  void deliver_requests(Slot now, Arrive&& arrive) {
+    while (!queue_.empty() && queue_.top().arrival <= now) {
+      const workload::Job job = queue_.top().job;
+      queue_.pop();
+      arrive(job);
+    }
+  }
+
+  /// The next slot a request may arrive; kNeverSlot when none is in flight.
+  [[nodiscard]] Slot next_arrival(Slot /*now*/) const {
+    return queue_.empty() ? kNeverSlot : queue_.top().arrival;
+  }
+
+  /// Some request is in flight (the profiler's "transit busy").
+  [[nodiscard]] bool busy() const { return !queue_.empty(); }
+
+  /// Sends `done`'s response; `finish(done, slot)` runs with the slot it
+  /// reaches the VM -- here at once.
+  template <class Finish>
+  void send_response(const iodev::Completion& done, Finish&& finish) {
+    finish(done, done.completed_at + response_.sample());
+  }
+
+  /// Carries responses in flight through [from, to): none here.
+  template <class Finish>
+  void advance(Slot /*from*/, Slot /*to*/, Finish&& /*finish*/) {}
+
+ private:
+  struct InFlight {
+    Slot arrival;
+    workload::Job job;
+  };
+  struct ArriveLater {
+    bool operator()(const InFlight& a, const InFlight& b) const {
+      return a.arrival != b.arrival ? a.arrival > b.arrival
+                                    : a.job.id.value > b.job.id.value;
+    }
+  };
+
+  TransitModel request_;
+  TransitModel response_;
+  std::priority_queue<InFlight, std::vector<InFlight>, ArriveLater> queue_;
 };
 
 }  // namespace ioguard::sys
